@@ -6,6 +6,13 @@ an oracle for the Monte Carlo lab: decomposition identities must close to
 enumerated once in lexicographic support order; expectations sum one block
 per leading coordinate and combine blocks with the fixed-shape pairwise
 tree, so threaded and serial results agree bitwise.
+
+The exact Rao-Blackwell step conditions on the multiset of observations (the
+order statistic, sufficient under i.i.d. sampling).  Every ordering of a
+multiset is equally likely, so averaging the dual image over all n!
+permutations of an outcome equals averaging it over the outcome's multiset
+class; the oracle groups outcomes by class instead of permuting them, at
+O(m^n * n) cost with no limit on n beyond the m^n outcome budget.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import numpy as np
 
 from .divergence import bregman_div
 from .errors import BudgetError, ConfigError, DomainError
-from .estimators import EXACT, Estimator, symmetrize
+from .estimators import Estimator
 from .generators import Generator
 from .prng import pairwise_sum
 
@@ -84,16 +91,25 @@ class DiscreteModel:
         return w / np.sum(w)
 
     def outcome_weights(self, theta) -> np.ndarray:
-        return np.prod(self.pmf(theta)[self.outcome_index], axis=1)
+        """Probability of each outcome row, in outcome_index order.
+
+        Built as an n-fold outer product of the pmf, multiplied left to right
+        exactly as a row-wise product of gathered pmf values would be.
+        """
+        p = self.pmf(theta)
+        w = p
+        for _ in range(self.n - 1):
+            w = np.multiply.outer(w, p)
+        return w.ravel()
 
 
-def _expect(dm: DiscreteModel, theta, per_outcome: np.ndarray, workers: int = 1):
-    """Exact expectation of precomputed per-outcome values.
+def _expect(dm: DiscreteModel, w: np.ndarray, per_outcome: np.ndarray, workers: int = 1):
+    """Exact expectation of precomputed per-outcome values under weights w.
 
-    One partial sum per leading-coordinate block, merged with the pairwise
-    tree; optionally threaded with identical results.
+    w is dm.outcome_weights(theta).  One partial sum per leading-coordinate
+    block, merged with the pairwise tree; optionally threaded with identical
+    results.
     """
-    w = dm.outcome_weights(theta)
     fv = np.asarray(per_outcome, dtype=float)
     if fv.shape[0] != dm.outcome_count:
         raise ConfigError(
@@ -121,14 +137,49 @@ def exact_expectation(dm: DiscreteModel, theta, fn, workers: int = 1):
     fn receives the full (m^n, n) outcome array and must return one value
     (scalar or vector) per outcome row.
     """
-    return _expect(dm, theta, np.asarray(fn(dm.outcome_values), dtype=float), workers)
+    values = np.asarray(fn(dm.outcome_values), dtype=float)
+    return _expect(dm, dm.outcome_weights(theta), values, workers)
 
 
 def exact_rao_blackwell(dm: DiscreteModel, g: Generator, e: Estimator) -> Estimator:
-    """Condition on the multiset of observations by exact permutation averaging."""
-    if dm.n > 8:
-        raise BudgetError(f"exact permutation averaging needs n <= 8, got n = {dm.n}")
-    return symmetrize(g, e, budget=EXACT)
+    """Condition on the multiset of observations: exact Rao-Blackwell on dm.
+
+    Under i.i.d. sampling every ordering of a multiset is equally likely, so
+    the mean of grad phi(e) over the n! permutations of an outcome equals its
+    mean over the outcome's multiset class.  Dual values are computed once per
+    outcome, averaged per class, and mapped back through the inverse gradient
+    once per class.  The result equals symmetrize(g, e, EXACT) on the support
+    up to summation order, without symmetrize's n <= 8 limit.
+
+    The returned estimator reads a table and accepts only samples of length
+    dm.n drawn from dm.support; any other value raises DomainError.
+    """
+    m, n = dm.m, dm.n
+    duals = np.asarray(g.gradient(e.fn(dm.outcome_values)), dtype=float)
+    place = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    keys = np.sort(dm.outcome_index, axis=1) @ place
+    _, cls = np.unique(keys, return_inverse=True)
+    class_duals = np.bincount(cls, weights=duals) / np.bincount(cls)
+    table = np.asarray(g.invert_gradient(class_duals), dtype=float)[cls]
+    support = np.asarray(dm.support)
+
+    def fn(x):
+        arr = np.asarray(x, dtype=float)
+        if arr.ndim < 1 or arr.shape[-1] != n:
+            raise ConfigError(f"exact Rao-Blackwell estimator needs samples of length {n}")
+        idx = np.minimum(np.searchsorted(support, arr), m - 1)
+        outside = support[idx] != arr
+        if np.any(outside):
+            val = float(arr[outside][0])
+            raise DomainError(f"sample value {val} is not in the oracle support")
+        return table[idx @ place]
+
+    return Estimator(
+        id=f"rb[{g.id},perms=all]({e.id})",
+        fn=fn,
+        unbiasedness=frozenset(t for t in e.unbiasedness if t.startswith("type1")),
+        requires_min_n=e.requires_min_n,
+    )
 
 
 @dataclass(frozen=True)
@@ -168,8 +219,9 @@ def verify_rb_inequality(dm: DiscreteModel, g: Generator, e: Estimator, theta_gr
     invariant = bool(np.max(np.abs(rb - base)) <= _INVARIANCE_TOL * scale)
     rows = []
     for theta in theta_grid:
-        risk_base = _expect(dm, theta, bregman_div(g, theta, base))
-        risk_rb = _expect(dm, theta, bregman_div(g, theta, rb))
+        w = dm.outcome_weights(theta)
+        risk_base = _expect(dm, w, bregman_div(g, theta, base))
+        risk_rb = _expect(dm, w, bregman_div(g, theta, rb))
         rows.append(RBRow(float(theta), risk_base, risk_rb, risk_base - risk_rb))
     min_gap = min(r.gap for r in rows)
     return RBInequalityReport(
@@ -215,17 +267,18 @@ def verify_decompositions(dm: DiscreteModel, g: Generator, e: Estimator, theta) 
     delta = np.asarray(e.fn(dm.outcome_values), dtype=float)
     g.domain.check(delta, "estimate")
     theta = float(theta)
+    w = dm.outcome_weights(theta)
 
-    center_left = float(g.invert_gradient(_expect(dm, theta, np.asarray(g.gradient(delta)))))
-    risk_left = _expect(dm, theta, bregman_div(g, theta, delta))
+    center_left = float(g.invert_gradient(_expect(dm, w, np.asarray(g.gradient(delta)))))
+    risk_left = _expect(dm, w, bregman_div(g, theta, delta))
     bias_left = float(bregman_div(g, theta, center_left))
-    var_left = _expect(dm, theta, bregman_div(g, center_left, delta))
+    var_left = _expect(dm, w, bregman_div(g, center_left, delta))
     residual_left = abs(risk_left - bias_left - var_left)
 
-    center_right = _expect(dm, theta, delta)
-    risk_right = _expect(dm, theta, bregman_div(g, delta, theta))
+    center_right = _expect(dm, w, delta)
+    risk_right = _expect(dm, w, bregman_div(g, delta, theta))
     bias_right = float(bregman_div(g, center_right, theta))
-    var_right = _expect(dm, theta, bregman_div(g, delta, center_right))
+    var_right = _expect(dm, w, bregman_div(g, delta, center_right))
     residual_right = abs(risk_right - bias_right - var_right)
 
     return DecompositionCheck(
@@ -258,7 +311,7 @@ def calibrated_type1_estimator(
     evaluation time if a shifted dual value leaves the gradient's range.
     """
     duals = np.asarray(g.gradient(stat_fn(dm.outcome_values)), dtype=float)
-    shift = float(g.gradient(float(theta0))) - _expect(dm, float(theta0), duals)
+    shift = float(g.gradient(float(theta0))) - _expect(dm, dm.outcome_weights(theta0), duals)
 
     def fn(x):
         return np.asarray(g.invert_gradient(np.asarray(g.gradient(stat_fn(x))) + shift))

@@ -203,6 +203,16 @@ class TestOracleCommand:
         )
         assert code == 0 and "PASS" in out
 
+    def test_large_n_within_outcome_budget(self, capsys):
+        # 3^10 = 59049 outcomes: n alone no longer limits the exact oracle
+        code, out, _ = run(
+            capsys, "oracle", "--m", "3", "--n", "10", "--gen", "neglog",
+            "--estimator", "first-k:1", "--theta", "0.5,1.0,2.0",
+        )
+        assert code == 0
+        assert out.count("theta = ") == 3
+        assert "PASS max_residual = " in out
+
     def test_budget_exit_2(self, capsys):
         code, _, err = run(
             capsys, "oracle", "--m", "10", "--n", "8", "--gen", "neglog",

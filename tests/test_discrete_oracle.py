@@ -3,8 +3,11 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from breglab import (
+    EXACT,
     BudgetError,
     ConfigError,
     DiscreteModel,
@@ -20,11 +23,13 @@ from breglab import (
     negative_log,
     resolve_discrete_estimator,
     squared_euclidean,
+    symmetrize,
     verify_decompositions,
     verify_rb_inequality,
 )
 
 FIRST = Estimator("first", lambda x: x[..., 0])
+HEAD2 = Estimator("head2", lambda x: np.mean(x[..., :2], axis=-1))
 MEAN = resolve_discrete_estimator("mean")
 
 ORACLE_GENERATORS = [
@@ -80,6 +85,26 @@ class TestDiscreteModel:
         dm = DiscreteModel((1.0, 2.0, 3.0), 5)
         npt.assert_allclose(dm.outcome_weights(1.3).sum(), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "support,n",
+        [
+            ((1.0, 2.0, 3.0), 5),
+            ((0.5, 1.5, 2.5, 4.0), 4),
+            (tuple(0.5 * i for i in range(1, 11)), 5),
+            ((2.0,), 3),
+            ((0.3, 7.0), 1),
+        ],
+    )
+    def test_outcome_weights_match_rowwise_product(self, support, n):
+        # the outer-product build must keep the lexicographic, first-coordinate
+        # slowest order that _expect's leading-coordinate blocks rely on
+        dm = DiscreteModel(support, n)
+        for theta in (0.5, 1.0, 2.0):
+            w = dm.outcome_weights(theta)
+            rowwise = np.prod(dm.pmf(theta)[dm.outcome_index], axis=1)
+            npt.assert_array_equal(w, rowwise)
+            assert abs(float(w.sum()) - 1.0) <= 1e-14
+
 
 class TestExactExpectation:
     def test_marginal_mean_matches_hand_sum(self):
@@ -125,8 +150,46 @@ class TestExactRaoBlackwell:
         npt.assert_allclose(out, [1.0, 4.0 / 3.0, 4.0 / 3.0, 2.0], rtol=1e-12)
 
     def test_budget(self):
+        # only the m^n outcome budget limits the oracle, not n itself
         with pytest.raises(BudgetError):
-            exact_rao_blackwell(DiscreteModel((1.0, 2.0), 9), negative_log(1), FIRST)
+            exact_rao_blackwell(DiscreteModel((1.0, 2.0), 21), negative_log(1), FIRST)
+
+    @pytest.mark.parametrize("support,n", [((1.0, 2.0), 9), ((1.0, 2.0, 3.0), 10)])
+    def test_first_observation_closed_forms_beyond_n8(self, support, n):
+        # E[grad phi(X1) | multiset] is the mean of grad phi over the sample:
+        # the harmonic mean under neglog (grad = -1/x), the mean under sqeuclid
+        dm = DiscreteModel(support, n)
+        vals = dm.outcome_values
+        neglog = exact_rao_blackwell(dm, negative_log(1), FIRST).fn(vals)
+        npt.assert_allclose(neglog, n / np.sum(1.0 / vals, axis=1), rtol=1e-12)
+        sqeuclid = exact_rao_blackwell(dm, squared_euclidean(1), FIRST).fn(vals)
+        npt.assert_allclose(sqeuclid, np.mean(vals, axis=1), rtol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        support=st.lists(
+            st.floats(min_value=0.01, max_value=100.0), min_size=1, max_size=4, unique=True
+        ),
+        n=st.integers(min_value=1, max_value=5),
+        g=st.sampled_from(ORACLE_GENERATORS),
+        e=st.sampled_from([FIRST, HEAD2, MEAN]),
+    )
+    def test_matches_permutation_average(self, support, n, g, e):
+        dm = DiscreteModel(tuple(support), n)
+        vals = dm.outcome_values
+        grouped = exact_rao_blackwell(dm, g, e).fn(vals)
+        brute = symmetrize(g, e, EXACT).fn(vals)
+        npt.assert_allclose(grouped, brute, rtol=1e-13, atol=0.0)
+
+    def test_sample_outside_support_raises(self):
+        dm = DiscreteModel((1.0, 2.0, 3.0), 3)
+        rb = exact_rao_blackwell(dm, negative_log(1), FIRST)
+        npt.assert_allclose(rb.fn(np.array([3.0, 1.0, 1.0])), 9.0 / 7.0, rtol=1e-14)
+        for bad in ([1.0, 2.0, 2.5], [1.0, 2.0, 4.0], [0.5, 1.0, 1.0], [1.0, np.nan, 2.0]):
+            with pytest.raises(DomainError):
+                rb.fn(np.array([[1.0, 1.0, 1.0], bad]))
+        with pytest.raises(ConfigError):
+            rb.fn(np.array([1.0, 2.0]))
 
     def test_invariant_input_is_fixed_point(self):
         dm = DiscreteModel((1.0, 2.0, 3.0), 3)
