@@ -38,6 +38,7 @@ from .estimators import build_type1_umvue, first_k_estimator, resolve_estimator
 from .generators import resolve_generator
 from .models import ExponentialModel, LogNormalModel, resolve_model
 from .risk_lab import (
+    _unbiasedness_checks,
     check_type1_unbiased,
     check_type2_unbiased,
     compare_estimators,
@@ -80,9 +81,16 @@ def _resolve(args, spec: dict) -> dict:
     return cfg
 
 
+def _workers(value) -> int:
+    workers = int(value)
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    return workers
+
+
 _COMMON = {
     "seed": (0, False, int),
-    "workers": (1, False, int),
+    "workers": (1, False, _workers),
     "format": ("json", False, str),
     "out": (None, False, str),
 }
@@ -398,24 +406,26 @@ def cmd_reproduce(args) -> int:
     if cfg["example"] == "exp":
         model, g = ExponentialModel(), resolve_generator("neglog", 1)
         theta, n, k = 2.0, 5, 3
-        replicates = cfg["replicates"] if cfg["replicates"] else 1_000_000
+        default_replicates = 1_000_000
     else:
         model, g = LogNormalModel(0.25), resolve_generator("negentropy", 1)
         theta, n, k = float(math.e), 10, 5
-        replicates = cfg["replicates"] if cfg["replicates"] else 100_000
-    cfg["replicates"] = replicates
+        default_replicates = 100_000
+    if cfg["replicates"] is None:
+        cfg["replicates"] = default_replicates
+    replicates = cfg["replicates"]
     seed, workers = cfg["seed"], cfg["workers"]
 
     e_type1 = build_type1_umvue(model, g)
     e_classical = model.classical_umvue
     e_cmp = first_k_estimator(model, g, k)
 
-    rows = [
-        ("type1", check_type1_unbiased(model, [theta], e_type1, g, n, replicates, seed, workers)[0], True),
-        ("type1", check_type2_unbiased(model, [theta], e_type1, n, replicates, seed, workers)[0], False),
-        ("classical", check_type1_unbiased(model, [theta], e_classical, g, n, replicates, seed, workers)[0], False),
-        ("classical", check_type2_unbiased(model, [theta], e_classical, n, replicates, seed, workers)[0], True),
-    ]
+    # the four verdicts share one pass over the derive_key(seed, 0) stream,
+    # exactly the stream check_type1/type2_unbiased would each draw
+    checks = [(e, gen, None) for e in (e_type1, e_classical) for gen in (g, None)]
+    verdicts = _unbiasedness_checks(model, [theta], checks, n, replicates, seed, workers)
+    names = ("type1", "type1", "classical", "classical")
+    rows = list(zip(names, verdicts, (True, False, False, True)))
     cmp_report = compare_estimators(
         model, theta, n, (e_type1, e_cmp), g, "left", replicates, seed, workers
     )

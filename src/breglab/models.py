@@ -4,7 +4,9 @@ All builtins are scalar i.i.d. families.  Draws are bit-reproducible: chunk c
 of a batch uses the Philox stream keyed by derive_key(seed, c), uniforms are
 shifted into the open interval (0, 1), and each family applies its inverse
 CDF (exponential) or the ndtri Gaussian transform (normal, lognormal).  The
-chunk grid is fixed, so batches are identical for any worker count.
+chunk grid is fixed, so batches are identical for any worker count;
+``Model.draw_chunk`` is the one place a chunk's stream is keyed, shared by
+whole-batch draws and the risk lab's chunk-by-chunk kernel.
 """
 
 from __future__ import annotations
@@ -45,6 +47,21 @@ def _chunk_ranges(rows: int):
         yield c, start, min(start + CHUNK_ROWS, rows)
 
 
+def map_chunks(fn, rows: int, workers: int = 1) -> list:
+    """[fn(c, start, stop) for each chunk of the fixed grid over rows], in chunk order.
+
+    Chunks run on up to `workers` threads; the grid and the order of the
+    results depend only on rows.
+    """
+    if int(workers) < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    tasks = list(_chunk_ranges(int(rows)))
+    if int(workers) > 1 and len(tasks) > 1:
+        with ThreadPoolExecutor(max_workers=min(int(workers), len(tasks))) as pool:
+            return list(pool.map(lambda task: fn(*task), tasks))
+    return [fn(*task) for task in tasks]
+
+
 class Model:
     """Base class for scalar parametric families."""
 
@@ -64,6 +81,11 @@ class Model:
         self.param_space.check(np.asarray(theta), "theta")
         return theta
 
+    def draw_chunk(self, theta: float, n: int, seed: int, c: int, rows: int) -> np.ndarray:
+        """(rows, n) observations of chunk c: the Philox stream keyed by derive_key(seed, c)."""
+        rng = philox(derive_key(int(seed), c))
+        return self._transform(open_uniforms(rng, (rows, n)), theta)
+
     def draw(self, theta, n: int, replicates: int, seed: int, workers: int = 1) -> np.ndarray:
         """(replicates, n) array of observations, identical for any worker count."""
         theta = self._check_theta(theta)
@@ -74,18 +96,10 @@ class Model:
         n = int(n)
         out = np.empty((int(replicates), n))
 
-        def fill(task):
-            c, start, stop = task
-            rng = philox(derive_key(int(seed), c))
-            out[start:stop] = self._transform(open_uniforms(rng, (stop - start, n)), theta)
+        def fill(c, start, stop):
+            out[start:stop] = self.draw_chunk(theta, n, seed, c, stop - start)
 
-        tasks = list(_chunk_ranges(int(replicates)))
-        if workers and int(workers) > 1:
-            with ThreadPoolExecutor(max_workers=int(workers)) as pool:
-                list(pool.map(fill, tasks))
-        else:
-            for task in tasks:
-                fill(task)
+        map_chunks(fill, replicates, workers)
         return out
 
     def sample(self, theta, n: int, seed: int) -> Sample:

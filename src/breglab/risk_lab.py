@@ -1,9 +1,14 @@
 """Monte Carlo risk estimation, unbiasedness checks, and paired comparisons.
 
 Replicate streams are fully determined by (model, theta, n, replicates,
-seed); workers only change how chunks are scheduled, never the draws, so
-every report here is bitwise identical for any worker count.  Grid-valued
-checks derive the stream for grid point i from derive_key(seed, i); paired
+seed).  Every report is a reduction of per-chunk partials: chunk c draws the
+rows keyed by derive_key(seed, c), runs the estimators on them and keeps only
+small summaries (counts, means, centred power sums, Bregman information),
+which merge in chunk order through the fixed pairwise tree of
+prng.pairwise_sum.  Workers only schedule chunks, so every report is bitwise
+identical for any worker count, and memory is bounded by the chunk size
+times the worker count, not by the replicate count.  Grid-valued checks
+derive the stream for grid point i from derive_key(seed, i); paired
 operations reuse one replicate set for every arm.
 """
 
@@ -13,14 +18,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats
 
 from .divergence import bregman_div
 from .errors import ConfigError, NumericError
 from .estimators import Estimator
 from .generators import Generator
-from .models import Model
-from .prng import derive_key
+from .models import Model, map_chunks
+from .prng import derive_key, pairwise_sum
 
 ORIENTATIONS = ("left", "right")
 MIN_REPLICATES = 1000
@@ -126,25 +130,185 @@ def _check_setup(model: Model, theta, n: int, estimators, g: Generator | None, r
         g.domain.check(np.asarray(theta), "theta")
     if int(replicates) < MIN_REPLICATES:
         raise ConfigError(f"replicates must be >= {MIN_REPLICATES}, got {replicates}")
+    if int(n) < 1:
+        raise ConfigError(f"n must be >= 1, got {n}")
     for e in estimators:
         if int(n) < e.requires_min_n:
             raise ConfigError(f"estimator '{e.id}' needs n >= {e.requires_min_n}, got {n}")
     return theta
 
 
-def _simulate(model: Model, theta, n, estimators, replicates, seed, workers=1):
-    """Estimates per estimator id, all computed from one shared draw."""
+def _merged_mean(ka: int, ma: float, kb: int, mb: float) -> float:
+    # the mean of a plus a correction: two equal means merge to that mean exactly
+    return ma + (mb - ma) * (kb / (ka + kb))
+
+
+@dataclass(frozen=True)
+class Moments:
+    """Count, mean and centred power sums M2..M4 of a set of values.
+
+    Two sets merge exactly by the updates of Chan, Golub and LeVeque (1979)
+    and Pebay (2008), so a chunked reduction keeps five numbers per chunk.
+    """
+
+    k: int = 0
+    mean: float = 0.0
+    m2: float = 0.0
+    m3: float = 0.0
+    m4: float = 0.0
+
+    @classmethod
+    def of(cls, values) -> "Moments":
+        v = np.asarray(values, dtype=float)
+        if v.size == 0:
+            return cls()
+        # shifting by the first value keeps a constant set exact: its mean is
+        # that value and its power sums are 0
+        s = v - v[0]
+        shift = float(np.mean(s))
+        d = s - shift
+        d2 = d * d
+        return cls(
+            v.size, float(v[0]) + shift, float(np.sum(d2)), float(np.sum(d2 * d)),
+            float(np.sum(d2 * d2)),
+        )
+
+    def __add__(self, other: "Moments") -> "Moments":
+        if other.k == 0:
+            return self
+        if self.k == 0:
+            return other
+        na, nb = float(self.k), float(other.k)
+        nt = na + nb
+        d = other.mean - self.mean
+        m2 = self.m2 + other.m2 + d * d * na * nb / nt
+        m3 = (
+            self.m3 + other.m3 + d**3 * na * nb * (na - nb) / nt**2
+            + 3.0 * d * (na * other.m2 - nb * self.m2) / nt
+        )
+        m4 = (
+            self.m4 + other.m4 + d**4 * na * nb * (na * na - na * nb + nb * nb) / nt**3
+            + 6.0 * d * d * (na * na * other.m2 + nb * nb * self.m2) / nt**2
+            + 4.0 * d * (na * other.m3 - nb * self.m3) / nt
+        )
+        return Moments(
+            self.k + other.k, _merged_mean(self.k, self.mean, other.k, other.mean), m2, m3, m4
+        )
+
+    @property
+    def se(self) -> float:
+        """Standard error of the mean, from the unbiased sample variance."""
+        return math.sqrt(self.m2 / (self.k - 1)) / math.sqrt(self.k)
+
+    @property
+    def excess_kurtosis(self) -> float:
+        # zero-variance values have no defined kurtosis; report 0 so reports
+        # stay strict JSON instead of carrying NaN
+        return 0.0 if self.m2 == 0.0 else self.k * self.m4 / (self.m2 * self.m2) - 3.0
+
+
+@dataclass(frozen=True)
+class BregmanInfo:
+    """Center and summed divergence to it (the Bregman information) of estimates.
+
+    Left orientation: the center c is grad phi*(mean grad phi(delta)) and
+    v = sum D(c, delta_i).  Right: c is the plain mean and v = sum D(delta_i, c).
+    The compensation identity sum D(y, delta_i) = v + k D(y, c) (mirrored on
+    the right) merges two sets exactly: the merged v is the two v plus
+    nonnegative k D terms, so nothing cancels.
+    """
+
+    g: Generator
+    orientation: str
+    k: int = 0
+    mean: float = 0.0  # mean dual value on the left, mean estimate on the right
+    center: float = 0.0
+    v: float = 0.0
+
+    @classmethod
+    def of(cls, g: Generator, orientation: str, est) -> "BregmanInfo":
+        if est.size == 0:
+            return cls(g, orientation)
+        if orientation == "left":
+            mean = float(np.mean(g.gradient(est)))
+            center = float(g.invert_gradient(mean))
+        else:
+            mean = center = float(np.mean(est))
+        v = float(np.sum(_loss(g, orientation, est, center)))
+        return cls(g, orientation, est.size, mean, center, v)
+
+    def _excess(self, y: float) -> float:
+        """Summed divergence of the set to y (left: from y) minus v."""
+        if self.orientation == "right":
+            return self.k * float(bregman_div(self.g, self.center, y))
+        # k D(y, c) is exact only if grad phi(c) equals the mean dual value;
+        # the residual term keeps it exact when the inverse gradient is not
+        # (the Newton fallback)
+        resid = float(self.g.gradient(self.center)) - self.mean
+        return self.k * (float(bregman_div(self.g, y, self.center)) + resid * (y - self.center))
+
+    def __add__(self, other: "BregmanInfo") -> "BregmanInfo":
+        if other.k == 0:
+            return self
+        if self.k == 0:
+            return other
+        mean = _merged_mean(self.k, self.mean, other.k, other.mean)
+        center = float(self.g.invert_gradient(mean)) if self.orientation == "left" else mean
+        v = self.v + other.v + self._excess(center) + other._excess(center)
+        return BregmanInfo(self.g, self.orientation, self.k + other.k, mean, center, v)
+
+
+def _loss(g: Generator, orientation: str, est, y):
+    """D(y, est) for the left orientation, D(est, y) for the right."""
+    return bregman_div(g, y, est) if orientation == "left" else bregman_div(g, est, y)
+
+
+class _Parts(tuple):
+    """One chunk's summaries; adding two merges them elementwise."""
+
+    def __add__(self, other):
+        return _Parts(a + b for a, b in zip(self, other))
+
+
+def _stream(model: Model, theta, n, estimators, replicates, seed, workers, reduce):
+    """Merged summaries of one replicate stream, computed chunk by chunk.
+
+    Chunk c draws the rows keyed by derive_key(seed, c), runs every
+    estimator on them and passes the estimates, keyed by estimator id, to
+    reduce, which returns a sequence of summaries.  Summaries merge in the
+    fixed pairwise tree, so the result is the same for any worker count.
+    """
     seen = {}
     for e in estimators:
         if e.id in seen and seen[e.id] is not e:
             raise ConfigError(f"two distinct estimators share the id '{e.id}'")
         seen[e.id] = e
-    x = model.draw(theta, int(n), int(replicates), int(seed), workers)
-    return {e.id: np.asarray(e(x), dtype=float) for e in seen.values()}
+
+    def chunk(c, start, stop):
+        x = model.draw_chunk(theta, int(n), seed, c, stop - start)
+        return _Parts(reduce({eid: np.asarray(e(x), dtype=float) for eid, e in seen.items()}))
+
+    return pairwise_sum(map_chunks(chunk, replicates, workers))
 
 
-def _se(values: np.ndarray) -> float:
-    return float(np.std(values, ddof=1) / math.sqrt(values.shape[0]))
+def _finalize(model: Model, theta: float, n: int, replicates: int, seed: int, kept: int) -> dict:
+    """Fields every report shares: its run header and the drop accounting.
+
+    A report needs at least two replicates that survived its masks; it is
+    flagged invalid when more than 0.1 percent were dropped.
+    """
+    if kept < 2:
+        raise NumericError("fewer than two replicates survived the domain and finiteness masks")
+    dropped = int(replicates) - kept
+    return {
+        "model_id": model.id,
+        "theta": theta,
+        "n": int(n),
+        "replicates": int(replicates),
+        "seed": int(seed),
+        "dropped": dropped,
+        "valid": bool(dropped <= MAX_DROP_FRACTION * int(replicates)),
+    }
 
 
 def _z_score(mean: float, target: float, se: float) -> float:
@@ -174,53 +338,80 @@ def estimate_risk(
     """
     _check_orientation(orientation)
     theta = _check_setup(model, theta, n, [estimator], g, replicates)
-    est = _simulate(model, theta, n, [estimator], replicates, seed, workers)[estimator.id]
-    mask = g.domain.mask(est)
-    dropped = int(est.shape[0] - np.count_nonzero(mask))
-    vals = est[mask]
-    if vals.shape[0] < 2:
-        raise NumericError("fewer than two replicates stayed inside the generator domain")
-    if orientation == "left":
-        center = float(g.invert_gradient(np.mean(g.gradient(vals))))
-        losses = bregman_div(g, theta, vals)
-        bias = float(bregman_div(g, theta, center))
-        variance = float(np.mean(bregman_div(g, center, vals)))
-    else:
-        center = float(np.mean(vals))
-        losses = bregman_div(g, vals, theta)
-        bias = float(bregman_div(g, center, theta))
-        variance = float(np.mean(bregman_div(g, vals, center)))
-    # zero-variance losses have no defined kurtosis; report 0 so reports stay
-    # strict JSON instead of carrying NaN
-    kurt = 0.0 if np.ptp(losses) == 0.0 else float(
-        scipy.stats.kurtosis(losses, fisher=True, bias=True)
-    )
+
+    def reduce(est):
+        vals = est[estimator.id]
+        vals = vals[g.domain.mask(vals)]
+        return Moments.of(_loss(g, orientation, vals, theta)), BregmanInfo.of(g, orientation, vals)
+
+    losses, info = _stream(model, theta, n, [estimator], replicates, seed, workers, reduce)
+    common = _finalize(model, theta, n, replicates, seed, losses.k)
     return RiskReport(
-        model_id=model.id,
+        **common,
         generator_id=g.id,
         estimator_id=estimator.id,
-        theta=theta,
-        n=int(n),
-        replicates=int(replicates),
-        seed=int(seed),
         orientation=orientation,
-        risk=float(np.mean(losses)),
-        bias_term=bias,
-        variance_term=variance,
-        center=center,
-        se_risk=_se(losses),
-        loss_excess_kurtosis=kurt,
-        dropped=dropped,
-        valid=bool(dropped <= MAX_DROP_FRACTION * int(replicates)),
+        risk=losses.mean,
+        bias_term=float(_loss(g, orientation, info.center, theta)),
+        variance_term=info.v / info.k,
+        center=info.center,
+        se_risk=losses.se,
+        loss_excess_kurtosis=losses.excess_kurtosis,
     )
 
 
-def _mean_check(values: np.ndarray, target: float, total: int):
-    mean = float(np.mean(values))
-    se = _se(values)
-    z = _z_score(mean, target, se)
-    dropped = total - values.shape[0]
-    return mean, se, z, dropped
+def _unbiasedness_checks(
+    model: Model, theta_grid, checks, n: int, replicates: int, seed: int, workers: int
+) -> list[UnbiasednessReport]:
+    """Unbiasedness reports for several checks that share each grid point's stream.
+
+    checks holds (estimator, g, target_fn) triples.  With a generator the
+    check is type-I: the mean of grad phi over in-domain estimates against
+    grad phi(theta).  Without one it is type-II: the mean finite estimate
+    against theta, or against target_fn(theta) when given.  Grid point i
+    draws the stream keyed by derive_key(seed, i) once for all checks;
+    reports come grid point by grid point, in the order of checks.
+    """
+    estimators = [e for e, _, _ in checks]
+
+    def reduce(est):
+        parts = []
+        for e, g, _ in checks:
+            vals = est[e.id]
+            if g is None:
+                parts.append(Moments.of(vals[np.isfinite(vals)]))
+            else:
+                parts.append(Moments.of(g.gradient(vals[g.domain.mask(vals)])))
+        return parts
+
+    reports = []
+    for i, theta in enumerate(theta_grid):
+        for e, g, _ in checks:
+            theta = _check_setup(model, theta, n, [e], g, replicates)
+        parts = _stream(
+            model, theta, n, estimators, replicates, derive_key(seed, i), workers, reduce
+        )
+        for (e, g, target_fn), m in zip(checks, parts):
+            common = _finalize(model, theta, n, replicates, seed, m.k)
+            if g is not None:
+                target = float(g.gradient(theta))
+            else:
+                target = float(theta if target_fn is None else target_fn(theta))
+            z = _z_score(m.mean, target, m.se)
+            reports.append(
+                UnbiasednessReport(
+                    **common,
+                    kind="type2" if g is None else "type1",
+                    generator_id="" if g is None else g.id,
+                    estimator_id=e.id,
+                    mean=m.mean,
+                    target=target,
+                    se=m.se,
+                    z=float(z),
+                    verdict=bool(abs(z) <= PASS_Z),
+                )
+            )
+    return reports
 
 
 def check_type1_unbiased(
@@ -237,38 +428,9 @@ def check_type1_unbiased(
 
     Verdict is PASS when |z| <= 4 with z = (mean - target) / se.
     """
-    reports = []
-    for i, theta in enumerate(theta_grid):
-        theta = _check_setup(model, theta, n, [estimator], g, replicates)
-        est = _simulate(
-            model, theta, n, [estimator], replicates, derive_key(seed, i), workers
-        )[estimator.id]
-        vals = est[g.domain.mask(est)]
-        if vals.shape[0] < 2:
-            raise NumericError("fewer than two replicates stayed inside the generator domain")
-        duals = np.asarray(g.gradient(vals), dtype=float)
-        target = float(g.gradient(theta))
-        mean, se, z, dropped = _mean_check(duals, target, est.shape[0])
-        reports.append(
-            UnbiasednessReport(
-                kind="type1",
-                model_id=model.id,
-                generator_id=g.id,
-                estimator_id=estimator.id,
-                theta=theta,
-                n=int(n),
-                replicates=int(replicates),
-                seed=int(seed),
-                mean=mean,
-                target=target,
-                se=se,
-                z=float(z),
-                verdict=bool(abs(z) <= PASS_Z),
-                dropped=dropped,
-                valid=bool(dropped <= MAX_DROP_FRACTION * int(replicates)),
-            )
-        )
-    return reports
+    return _unbiasedness_checks(
+        model, theta_grid, [(estimator, g, None)], n, replicates, seed, workers
+    )
 
 
 def check_type2_unbiased(
@@ -287,37 +449,9 @@ def check_type2_unbiased(
     dual-space estimator be checked against grad phi(theta) with the same
     machinery and the same seeds.
     """
-    reports = []
-    for i, theta in enumerate(theta_grid):
-        theta = _check_setup(model, theta, n, [estimator], None, replicates)
-        est = _simulate(
-            model, theta, n, [estimator], replicates, derive_key(seed, i), workers
-        )[estimator.id]
-        vals = est[np.isfinite(est)]
-        if vals.shape[0] < 2:
-            raise NumericError("fewer than two finite replicates")
-        target = float(theta if target_fn is None else target_fn(theta))
-        mean, se, z, dropped = _mean_check(vals, target, est.shape[0])
-        reports.append(
-            UnbiasednessReport(
-                kind="type2",
-                model_id=model.id,
-                generator_id="",
-                estimator_id=estimator.id,
-                theta=theta,
-                n=int(n),
-                replicates=int(replicates),
-                seed=int(seed),
-                mean=mean,
-                target=target,
-                se=se,
-                z=float(z),
-                verdict=bool(abs(z) <= PASS_Z),
-                dropped=dropped,
-                valid=bool(dropped <= MAX_DROP_FRACTION * int(replicates)),
-            )
-        )
-    return reports
+    return _unbiasedness_checks(
+        model, theta_grid, [(estimator, None, target_fn)], n, replicates, seed, workers
+    )
 
 
 def lehmann_grid_check(
@@ -348,17 +482,15 @@ def lehmann_grid_check(
     theta_index = matches[0]
     for v in grid:
         g.domain.check(np.asarray(v), "grid parameter")
-    est = _simulate(model, theta, n, [estimator], replicates, seed, workers)[estimator.id]
-    mask = g.domain.mask(est)
-    dropped = int(est.shape[0] - np.count_nonzero(mask))
-    vals = est[mask]
-    if vals.shape[0] < 2:
-        raise NumericError("fewer than two replicates stayed inside the generator domain")
-    means, ses = [], []
-    for v in grid:
-        losses = bregman_div(g, v, vals) if orientation == "left" else bregman_div(g, vals, v)
-        means.append(float(np.mean(losses)))
-        ses.append(_se(losses))
+
+    def reduce(est):
+        vals = est[estimator.id]
+        vals = vals[g.domain.mask(vals)]
+        return [Moments.of(_loss(g, orientation, vals, v)) for v in grid]
+
+    parts = _stream(model, theta, n, [estimator], replicates, seed, workers, reduce)
+    common = _finalize(model, theta, n, replicates, seed, parts[0].k)
+    means = [m.mean for m in parts]
     best = min(means)
     candidates = [i for i, m in enumerate(means) if m == best]
     if theta_index in candidates:
@@ -366,22 +498,16 @@ def lehmann_grid_check(
     else:
         argmin_index = candidates[0]
     return LehmannGridReport(
-        model_id=model.id,
+        **common,
         generator_id=g.id,
         estimator_id=estimator.id,
-        theta=theta,
-        n=int(n),
-        replicates=int(replicates),
-        seed=int(seed),
         orientation=orientation,
         grid=tuple(grid),
         means=tuple(means),
-        ses=tuple(ses),
+        ses=tuple(m.se for m in parts),
         theta_index=theta_index,
         argmin_index=int(argmin_index),
         tie_broken_toward_theta=bool(len(candidates) > 1 and theta_index in candidates),
-        dropped=dropped,
-        valid=bool(dropped <= MAX_DROP_FRACTION * int(replicates)),
     )
 
 
@@ -405,32 +531,23 @@ def compare_estimators(
     _check_orientation(orientation)
     e1, e2 = estimator_pair
     theta = _check_setup(model, theta, n, [e1, e2], g, replicates)
-    est = _simulate(model, theta, n, [e1, e2], replicates, seed, workers)
-    v1, v2 = est[e1.id], est[e2.id]
-    mask = g.domain.mask(v1) & g.domain.mask(v2)
-    dropped = int(v1.shape[0] - np.count_nonzero(mask))
-    a, b = v1[mask], v2[mask]
-    if a.shape[0] < 2:
-        raise NumericError("fewer than two replicates stayed inside the generator domain")
-    if orientation == "left":
-        l1, l2 = bregman_div(g, theta, a), bregman_div(g, theta, b)
-    else:
-        l1, l2 = bregman_div(g, a, theta), bregman_div(g, b, theta)
-    diff = l1 - l2
+
+    def reduce(est):
+        a, b = est[e1.id], est[e2.id]
+        keep = g.domain.mask(a) & g.domain.mask(b)
+        l1, l2 = _loss(g, orientation, a[keep], theta), _loss(g, orientation, b[keep], theta)
+        return Moments.of(l1), Moments.of(l2), Moments.of(l1 - l2)
+
+    m1, m2, diff = _stream(model, theta, n, [e1, e2], replicates, seed, workers, reduce)
+    common = _finalize(model, theta, n, replicates, seed, diff.k)
     return ComparisonReport(
-        model_id=model.id,
+        **common,
         generator_id=g.id,
         estimator_id_1=e1.id,
         estimator_id_2=e2.id,
-        theta=theta,
-        n=int(n),
-        replicates=int(replicates),
-        seed=int(seed),
         orientation=orientation,
-        risk_1=float(np.mean(l1)),
-        risk_2=float(np.mean(l2)),
-        risk_diff=float(np.mean(diff)),
-        se_diff=_se(diff),
-        dropped=dropped,
-        valid=bool(dropped <= MAX_DROP_FRACTION * int(replicates)),
+        risk_1=m1.mean,
+        risk_2=m2.mean,
+        risk_diff=diff.mean,
+        se_diff=diff.se,
     )

@@ -2,10 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import breglab
 from breglab.cli import main
 
 
@@ -103,6 +107,30 @@ class TestRiskCommand:
             "--theta", "2.0", "--n", "5", "-M", "10",
         )
         assert code == 2 and "1000" in err
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_exit_2(self, capsys, workers):
+        code, out, err = run(capsys, *self.ARGS, "--workers", workers)
+        assert code == 2 and "workers" in err
+        assert "config:" not in out
+
+
+def test_workers_below_one_rejected_on_every_subcommand(capsys):
+    code, _, err = run(
+        capsys, "divergence", "--gen", "sqeuclid", "--x", "1", "--y", "0", "--workers", "0"
+    )
+    assert code == 2 and "workers" in err
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is most of the import time and resident floor the package
+    # would otherwise carry; nothing on the CLI path may pull it in
+    src = os.path.dirname(os.path.dirname(os.path.abspath(breglab.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, breglab.cli; sys.exit(3 if 'scipy.stats' in sys.modules else 0)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+    assert proc.returncode == 0
 
 
 class TestConfigFiles:
@@ -245,6 +273,11 @@ class TestReproduceCommand:
     def test_tiny_replicates_exit_2(self, capsys):
         code, _, _ = run(capsys, "reproduce", "--example", "exp", "-M", "100")
         assert code == 2
+
+    def test_zero_replicates_exit_2(self, capsys):
+        # -M 0 is a bad value, not a request for the example's default
+        code, _, err = run(capsys, "reproduce", "--example", "exp", "-M", "0")
+        assert code == 2 and "replicates" in err
 
     def test_bad_example_from_config_exit_2(self, capsys, tmp_path):
         cfgfile = tmp_path / "cfg.json"

@@ -74,6 +74,11 @@ class TestDraws:
         with pytest.raises(DomainError):
             LogNormalModel().draw(0.0, 3, 100, seed=0)
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ConfigError):
+            ExponentialModel().draw(2.0, 3, 100, seed=0, workers=workers)
+
 
 class TestDistributions:
     def test_exponential_moments(self):

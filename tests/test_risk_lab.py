@@ -1,12 +1,18 @@
 """Monte Carlo risk lab: reports, verdicts, pairing, and drop accounting."""
 
 import dataclasses
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.stats
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from breglab import (
+    CHUNK_ROWS,
     ConfigError,
     DomainError,
     Estimator,
@@ -14,6 +20,7 @@ from breglab import (
     LogNormalModel,
     NormalModel,
     NumericError,
+    bregman_div,
     build_type1_umvue,
     check_type1_unbiased,
     check_type2_unbiased,
@@ -22,10 +29,13 @@ from breglab import (
     estimate_risk,
     first_k_estimator,
     lehmann_grid_check,
+    negative_entropy,
     negative_log,
     squared_euclidean,
     to_dual,
 )
+from breglab.prng import derive_key, pairwise_sum
+from breglab.risk_lab import BregmanInfo, Moments
 
 EXP = ExponentialModel()
 NEGLOG = negative_log(1)
@@ -234,3 +244,183 @@ class TestCompareEstimators:
         rep = compare_estimators(EXP, 2.0, 5, (e1, e2), NEGLOG, "left", 20_000, seed=7)
         solo = estimate_risk(EXP, 2.0, 5, e1, NEGLOG, "left", 20_000, seed=7)
         npt.assert_allclose(rep.risk_1, solo.risk, rtol=1e-12)
+
+
+
+
+PARTIAL_GENERATORS = {
+    "sqeuclid": squared_euclidean(1),
+    "negentropy": negative_entropy(1),
+    "neglog": negative_log(1),
+    "neglog-newton": negative_log(1).without_closed_forms(),
+}
+
+
+def _close(got, want, scale):
+    assert abs(got - want) <= 1e-12 * scale, (got, want, scale)
+
+
+class TestPartials:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=st.lists(st.floats(0.01, 100.0), min_size=2, max_size=80),
+        cuts=st.lists(st.integers(0, 80), max_size=6),
+        gen=st.sampled_from(sorted(PARTIAL_GENERATORS)),
+    )
+    # the Newton inverse of grad phi = -1/8 is 8 - 2.6e-11; a left merge
+    # through k D(c, c_part) alone would carry that error into v
+    @example(values=[1.0, 1.0, 8.0], cuts=[2], gen="neglog-newton")
+    def test_merged_parts_equal_one_shot(self, values, cuts, gen):
+        x = np.array(values)
+        # a spread far below the magnitude leaves any float algorithm, the
+        # one-shot one included, only eps * max / spread relative accuracy
+        assume(np.ptp(x) >= 0.01 * np.max(x))
+        g = PARTIAL_GENERATORS[gen]
+        bounds = [0, *sorted(min(c, x.size) for c in cuts), x.size]
+        parts = [x[a:b] for a, b in zip(bounds[:-1], bounds[1:])]  # empty parts included
+        m = pairwise_sum([Moments.of(p) for p in parts])
+        exact = [Fraction(v) for v in values]
+        mean = sum(exact) / len(exact)
+        sums = [float(sum((v - mean) ** r for v in exact)) for r in (2, 3, 4)]
+        assert m.k == x.size
+        _close(m.mean, float(mean), float(mean))
+        _close(m.m2, sums[0], sums[0])
+        _close(m.m3, sums[1], float(sum(abs(v - mean) ** 3 for v in exact)))  # M3 may cancel
+        _close(m.m4, sums[2], sums[2])
+        for orientation in ("left", "right"):
+            info = pairwise_sum([BregmanInfo.of(g, orientation, p) for p in parts])
+            if orientation == "left":
+                center = float(g.invert_gradient(np.mean(g.gradient(x))))
+                v = float(np.sum(bregman_div(g, center, x)))
+            else:
+                center = float(np.mean(x))
+                v = float(np.sum(bregman_div(g, x, center)))
+            assert info.k == x.size
+            _close(info.center, center, center)
+            _close(info.v, v, v)
+
+
+REF_ROWS = 2 * CHUNK_ROWS + 17  # two full chunks and a short one
+
+
+def _dropping(e, col):
+    """e with NaN where observation col is small, and on the whole 17-row chunk."""
+
+    def fn(x):
+        out = np.array(e.fn(x), dtype=float)
+        out[x[..., col] < 0.03] = np.nan
+        if x.shape[0] == REF_ROWS % CHUNK_ROWS:
+            out[:] = np.nan
+        return out
+
+    return Estimator(f"{e.id}-dropping{col}", fn, requires_min_n=e.requires_min_n)
+
+
+def _chunked_estimates(e, x):
+    # the estimator sees chunk-sized blocks, exactly as the lab hands them out
+    return np.concatenate([e(x[s : s + CHUNK_ROWS]) for s in range(0, x.shape[0], CHUNK_ROWS)])
+
+
+def _loss(orientation, est, y):
+    return bregman_div(NEGLOG, y, est) if orientation == "left" else bregman_div(NEGLOG, est, y)
+
+
+def _se(values):
+    return np.std(values, ddof=1) / np.sqrt(values.size)
+
+
+class TestChunkedReference:
+    """Every report type against a brute-force full-array computation."""
+
+    THETA, N, SEED = 2.0, 5, 23
+    E1 = _dropping(EXP.classical_umvue, 0)
+    E2 = _dropping(build_type1_umvue(EXP, NEGLOG), 1)
+
+    def draws(self, theta=THETA, seed=SEED):
+        return EXP.draw(theta, self.N, REF_ROWS, seed)
+
+    def reports(self, workers):
+        theta, n, e1, run = self.THETA, self.N, self.E1, (REF_ROWS, self.SEED, workers)
+        return [
+            estimate_risk(EXP, theta, n, e1, NEGLOG, "left", *run),
+            estimate_risk(EXP, theta, n, e1, NEGLOG, "right", *run),
+            *check_type1_unbiased(EXP, [1.0, 2.0], e1, NEGLOG, n, *run),
+            *check_type2_unbiased(EXP, [2.0], e1, n, *run),
+            lehmann_grid_check(EXP, theta, (1.5, 2.0, 2.5), e1, NEGLOG, "right", n, *run),
+            compare_estimators(EXP, theta, n, (e1, self.E2), NEGLOG, "left", *run),
+        ]
+
+    def test_drops_fall_in_some_chunks_and_fill_one(self):
+        dropped = np.isnan(_chunked_estimates(self.E1, self.draws()))
+        per_chunk = [np.count_nonzero(dropped[s : s + CHUNK_ROWS]) for s in (0, CHUNK_ROWS)]
+        assert all(0 < d < CHUNK_ROWS for d in per_chunk)
+        assert np.all(dropped[2 * CHUNK_ROWS :])
+
+    def test_reports_match_full_array_computation(self):
+        risk_left, risk_right, t1a, t1b, t2, lehmann, cmp = self.reports(1)
+        x = self.draws()
+        v = _chunked_estimates(self.E1, x)
+        kept = v[NEGLOG.domain.mask(v)]
+        for rep, orientation in ((risk_left, "left"), (risk_right, "right")):
+            losses = _loss(orientation, kept, self.THETA)
+            if orientation == "left":
+                center = NEGLOG.invert_gradient(np.mean(NEGLOG.gradient(kept)))
+            else:
+                center = np.mean(kept)
+            assert rep.dropped == REF_ROWS - kept.size and not rep.valid
+            npt.assert_allclose(rep.risk, np.mean(losses), rtol=1e-12)
+            npt.assert_allclose(rep.se_risk, _se(losses), rtol=1e-12)
+            kurtosis = scipy.stats.kurtosis(losses)
+            npt.assert_allclose(rep.loss_excess_kurtosis, kurtosis, rtol=1e-12)
+            npt.assert_allclose(rep.center, center, rtol=1e-12)
+            npt.assert_allclose(rep.bias_term, _loss(orientation, center, self.THETA), rtol=1e-12)
+            variance = np.mean(_loss(orientation, kept, center))
+            npt.assert_allclose(rep.variance_term, variance, rtol=1e-12)
+
+        for rep, i, theta in ((t1a, 0, 1.0), (t1b, 1, 2.0)):
+            vi = _chunked_estimates(self.E1, self.draws(theta, derive_key(self.SEED, i)))
+            duals = NEGLOG.gradient(vi[NEGLOG.domain.mask(vi)])
+            assert rep.dropped == REF_ROWS - duals.size
+            npt.assert_allclose(rep.mean, np.mean(duals), rtol=1e-12)
+            npt.assert_allclose(rep.se, _se(duals), rtol=1e-12)
+        v0 = _chunked_estimates(self.E1, self.draws(2.0, derive_key(self.SEED, 0)))
+        finite = v0[np.isfinite(v0)]
+        assert t2.dropped == REF_ROWS - finite.size
+        npt.assert_allclose(t2.mean, np.mean(finite), rtol=1e-12)
+        npt.assert_allclose(t2.se, _se(finite), rtol=1e-12)
+
+        for y, mean, se in zip(lehmann.grid, lehmann.means, lehmann.ses):
+            losses = _loss("right", kept, y)
+            npt.assert_allclose(mean, np.mean(losses), rtol=1e-12)
+            npt.assert_allclose(se, _se(losses), rtol=1e-12)
+        assert lehmann.dropped == REF_ROWS - kept.size
+
+        w = _chunked_estimates(self.E2, x)
+        both = NEGLOG.domain.mask(v) & NEGLOG.domain.mask(w)
+        l1, l2 = _loss("left", v[both], self.THETA), _loss("left", w[both], self.THETA)
+        assert cmp.dropped == REF_ROWS - np.count_nonzero(both) > risk_left.dropped
+        npt.assert_allclose(
+            [cmp.risk_1, cmp.risk_2, cmp.risk_diff], [np.mean(l1), np.mean(l2), np.mean(l1 - l2)],
+            rtol=1e-12,
+        )
+        npt.assert_allclose(cmp.se_diff, _se(l1 - l2), rtol=1e-12)
+
+    def test_reports_bitwise_equal_across_workers(self):
+        base = [dataclasses.asdict(r) for r in self.reports(1)]
+        for workers in (2, 8):
+            assert [dataclasses.asdict(r) for r in self.reports(workers)] == base
+
+
+def test_risk_memory_does_not_grow_with_replicates():
+    e = build_type1_umvue(EXP, NEGLOG)
+
+    def peak(replicates):
+        tracemalloc.start()
+        try:
+            estimate_risk(EXP, 2.0, 5, e, NEGLOG, "left", replicates, seed=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2 * CHUNK_ROWS)  # warm up lazy imports and caches
+    assert peak(16 * CHUNK_ROWS) < 2 * peak(2 * CHUNK_ROWS)
