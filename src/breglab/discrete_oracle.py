@@ -12,7 +12,18 @@ order statistic, sufficient under i.i.d. sampling).  Every ordering of a
 multiset is equally likely, so averaging the dual image over all n!
 permutations of an outcome equals averaging it over the outcome's multiset
 class; the oracle groups outcomes by class instead of permuting them, at
-O(m^n * n) cost with no limit on n beyond the m^n outcome budget.
+O(m^n * n) cost with no limit on n beyond the m^n outcome budget.  Classes
+are numbered in lexicographic order of their sorted support indices and
+labelled without sorting any outcome row: a transition table maps (class of
+a length-k prefix, next symbol) to the class of the length-(k+1) prefix, and
+gathering it k = 1..n times labels the outcomes in enumeration order.
+
+Each check does its per-outcome work once per call: it evaluates e.fn on the
+outcome array and checks the estimates' domain once, takes phi and grad phi
+of each outcome array once and reuses them in every divergence against that
+array, and verify_rb_inequality reads the Rao-Blackwell class table directly
+instead of looking every outcome up through the returned estimator.  Nothing
+is cached across calls.
 """
 
 from __future__ import annotations
@@ -23,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .divergence import bregman_div
+from .divergence import _div, bregman_div
 from .errors import BudgetError, ConfigError, DomainError
 from .estimators import Estimator
 from .generators import Generator
@@ -110,6 +121,8 @@ def _expect(dm: DiscreteModel, w: np.ndarray, per_outcome: np.ndarray, workers: 
     block, merged with the pairwise tree; optionally threaded with identical
     results.
     """
+    if int(workers) < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     fv = np.asarray(per_outcome, dtype=float)
     if fv.shape[0] != dm.outcome_count:
         raise ConfigError(
@@ -122,7 +135,7 @@ def _expect(dm: DiscreteModel, w: np.ndarray, per_outcome: np.ndarray, workers: 
     def part(span):
         return np.sum(weighted[span[0] : span[1]], axis=0)
 
-    if workers and int(workers) > 1:
+    if int(workers) > 1:
         with ThreadPoolExecutor(max_workers=int(workers)) as pool:
             partials = list(pool.map(part, spans))
     else:
@@ -141,6 +154,44 @@ def exact_expectation(dm: DiscreteModel, theta, fn, workers: int = 1):
     return _expect(dm, dm.outcome_weights(theta), values, workers)
 
 
+def _multiset_classes(m: int, n: int):
+    """Multiset class of every outcome row, in outcome_index order, and class sizes.
+
+    Classes are numbered like np.unique of the rows' sorted support indices:
+    by their sorted index tuples in lexicographic order.  reps holds the
+    sorted representative of each class of length k; adding symbol s to it
+    and re-sorting gives the class of length k + 1 that table[c, s] names.
+    Outcome rows enumerate prefixes first-coordinate slowest, so the labels
+    of the length-(k+1) prefixes are table[labels].ravel().
+    """
+    reps = np.zeros((1, 0), dtype=np.int64)
+    labels = np.zeros(1, dtype=np.int64)
+    symbols = np.arange(m, dtype=np.int64)
+    for k in range(1, n + 1):
+        grown = np.column_stack([np.repeat(reps, m, axis=0), np.tile(symbols, len(reps))])
+        grown.sort(axis=1)
+        keys = grown @ (m ** np.arange(k - 1, -1, -1, dtype=np.int64))
+        _, first, table = np.unique(keys, return_index=True, return_inverse=True)
+        reps = grown[first]
+        labels = table.reshape(-1, m)[labels].ravel()
+    return labels, np.bincount(labels)
+
+
+def _rb_table(dm: DiscreteModel, g: Generator, duals: np.ndarray) -> np.ndarray:
+    """Rao-Blackwell value of every outcome from its dual value grad phi(e(x)).
+
+    Dual values are averaged per multiset class and mapped back through the
+    inverse gradient once per class.
+    """
+    cls, counts = _multiset_classes(dm.m, dm.n)
+    class_duals = np.bincount(cls, weights=duals) / counts
+    return np.asarray(g.invert_gradient(class_duals), dtype=float)[cls]
+
+
+def _rb_id(g: Generator, e: Estimator) -> str:
+    return f"rb[{g.id},perms=all]({e.id})"
+
+
 def exact_rao_blackwell(dm: DiscreteModel, g: Generator, e: Estimator) -> Estimator:
     """Condition on the multiset of observations: exact Rao-Blackwell on dm.
 
@@ -155,12 +206,8 @@ def exact_rao_blackwell(dm: DiscreteModel, g: Generator, e: Estimator) -> Estima
     dm.n drawn from dm.support; any other value raises DomainError.
     """
     m, n = dm.m, dm.n
-    duals = np.asarray(g.gradient(e.fn(dm.outcome_values)), dtype=float)
+    table = _rb_table(dm, g, np.asarray(g.gradient(e.fn(dm.outcome_values)), dtype=float))
     place = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    keys = np.sort(dm.outcome_index, axis=1) @ place
-    _, cls = np.unique(keys, return_inverse=True)
-    class_duals = np.bincount(cls, weights=duals) / np.bincount(cls)
-    table = np.asarray(g.invert_gradient(class_duals), dtype=float)[cls]
     support = np.asarray(dm.support)
 
     def fn(x):
@@ -175,7 +222,7 @@ def exact_rao_blackwell(dm: DiscreteModel, g: Generator, e: Estimator) -> Estima
         return table[idx @ place]
 
     return Estimator(
-        id=f"rb[{g.id},perms=all]({e.id})",
+        id=_rb_id(g, e),
         fn=fn,
         unbiasedness=frozenset(t for t in e.unbiasedness if t.startswith("type1")),
         requires_min_n=e.requires_min_n,
@@ -210,24 +257,29 @@ def verify_rb_inequality(dm: DiscreteModel, g: Generator, e: Estimator, theta_gr
     passed requires risk(rb) <= risk(e) + 1e-12 at every theta.  The report
     also states whether e was already permutation-invariant, in which case
     the gap is zero rather than strictly positive.
+
+    e.fn runs once; its dual image feeds the class table that
+    exact_rao_blackwell's estimator reads, so rb is that estimator's value
+    on every outcome.  phi and grad phi of both arrays serve every theta.
     """
-    vals = dm.outcome_values
-    base = np.asarray(e.fn(vals), dtype=float)
-    rb_est = exact_rao_blackwell(dm, g, e)
-    rb = np.asarray(rb_est.fn(vals), dtype=float)
+    base = np.asarray(e.fn(dm.outcome_values), dtype=float)
+    grad_base = np.asarray(g.gradient(base), dtype=float)
+    rb = _rb_table(dm, g, grad_base)
     scale = 1.0 + float(np.max(np.abs(base)))
     invariant = bool(np.max(np.abs(rb - base)) <= _INVARIANCE_TOL * scale)
+    phi_base, phi_rb, grad_rb = g.value(base), g.value(rb), g.gradient(rb)
     rows = []
-    for theta in theta_grid:
+    for theta in map(float, theta_grid):
         w = dm.outcome_weights(theta)
-        risk_base = _expect(dm, w, bregman_div(g, theta, base))
-        risk_rb = _expect(dm, w, bregman_div(g, theta, rb))
-        rows.append(RBRow(float(theta), risk_base, risk_rb, risk_base - risk_rb))
+        phi_t = g.value(theta)
+        risk_base = _expect(dm, w, _div(g, theta, base, phi_t - phi_base, grad_base))
+        risk_rb = _expect(dm, w, _div(g, theta, rb, phi_t - phi_rb, grad_rb))
+        rows.append(RBRow(theta, risk_base, risk_rb, risk_base - risk_rb))
     min_gap = min(r.gap for r in rows)
     return RBInequalityReport(
         generator_id=g.id,
         estimator_id=e.id,
-        rb_estimator_id=rb_est.id,
+        rb_estimator_id=_rb_id(g, e),
         support=dm.support,
         n=dm.n,
         rows=tuple(rows),
@@ -263,22 +315,30 @@ class DecompositionCheck:
 
 
 def verify_decompositions(dm: DiscreteModel, g: Generator, e: Estimator, theta) -> DecompositionCheck:
-    """Exact risk = bias + variance in both orientations, residuals to 1e-12."""
+    """Exact risk = bias + variance in both orientations, residuals to 1e-12.
+
+    e.fn runs once, and phi and grad phi of its estimates serve all four
+    divergences against them.
+    """
     delta = np.asarray(e.fn(dm.outcome_values), dtype=float)
     g.domain.check(delta, "estimate")
     theta = float(theta)
     w = dm.outcome_weights(theta)
+    grad_d = np.asarray(g.gradient(delta))
+    center_left = float(g.invert_gradient(_expect(dm, w, grad_d)))
+    phi_t = g.value(theta)
+    phi_d = g.value(delta)
 
-    center_left = float(g.invert_gradient(_expect(dm, w, np.asarray(g.gradient(delta)))))
-    risk_left = _expect(dm, w, bregman_div(g, theta, delta))
+    risk_left = _expect(dm, w, _div(g, theta, delta, phi_t - phi_d, grad_d))
     bias_left = float(bregman_div(g, theta, center_left))
-    var_left = _expect(dm, w, bregman_div(g, center_left, delta))
+    var_left = _expect(dm, w, _div(g, center_left, delta, g.value(center_left) - phi_d, grad_d))
     residual_left = abs(risk_left - bias_left - var_left)
 
     center_right = _expect(dm, w, delta)
-    risk_right = _expect(dm, w, bregman_div(g, delta, theta))
+    risk_right = _expect(dm, w, _div(g, delta, theta, phi_d - phi_t, g.gradient(theta)))
     bias_right = float(bregman_div(g, center_right, theta))
-    var_right = _expect(dm, w, bregman_div(g, delta, center_right))
+    phi_c, grad_c = g.value(center_right), g.gradient(center_right)
+    var_right = _expect(dm, w, _div(g, delta, center_right, phi_d - phi_c, grad_c))
     residual_right = abs(risk_right - bias_right - var_right)
 
     return DecompositionCheck(

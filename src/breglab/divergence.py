@@ -39,14 +39,18 @@ def _clamped(d):
     return _scalarize(arr)
 
 
+def _div(g: Generator, x, y, phi_gap, grad_y):
+    """D_phi(x, y) from phi_gap = phi(x) - phi(y) and grad phi(y), which a caller may reuse."""
+    return _clamped(phi_gap - _inner(g, grad_y, x - y))
+
+
 def bregman_div(g: Generator, x, y):
     """D_phi(x, y) = phi(x) - phi(y) - <grad phi(y), x - y>, broadcast over batches."""
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
     g.domain.check(xa, "x")
     g.domain.check(ya, "y")
-    d = g.value(xa) - g.value(ya) - _inner(g, g.gradient(ya), xa - ya)
-    return _clamped(d)
+    return _div(g, xa, ya, g.value(xa) - g.value(ya), g.gradient(ya))
 
 
 def dual_divergence(g: Generator, u, v):

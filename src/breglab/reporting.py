@@ -12,9 +12,8 @@ import dataclasses
 import io
 import json
 
+from . import __version__ as VERSION
 from .risk_lab import LehmannGridReport
-
-VERSION = "0.1.0"
 
 
 def record(report) -> dict:

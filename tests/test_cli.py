@@ -85,6 +85,14 @@ class TestRiskCommand:
         assert report["estimator_id"] == "type1"
         assert report["replicates"] == 2000
 
+    def test_out_header_version_is_package_version(self, capsys, tmp_path):
+        jpath, cpath = tmp_path / "r.json", tmp_path / "r.csv"
+        run(capsys, *self.ARGS, "--out", str(jpath))
+        run(capsys, *self.ARGS, "--format", "csv", "--out", str(cpath))
+        assert json.loads(jpath.read_text())["version"] == breglab.__version__
+        header = json.loads(cpath.read_text().splitlines()[0][2:])
+        assert header["version"] == breglab.__version__
+
     def test_out_file_reruns_byte_identical(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run(capsys, *self.ARGS, "--out", str(a))

@@ -3,7 +3,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from breglab import (
@@ -27,6 +27,7 @@ from breglab import (
     verify_decompositions,
     verify_rb_inequality,
 )
+from breglab.discrete_oracle import _expect, _multiset_classes
 
 FIRST = Estimator("first", lambda x: x[..., 0])
 HEAD2 = Estimator("head2", lambda x: np.mean(x[..., :2], axis=-1))
@@ -38,6 +39,30 @@ ORACLE_GENERATORS = [
     negative_entropy(1),
     negative_log(1),
 ]
+
+
+def counting(e: Estimator):
+    """e with an fn that records the shape of every input it is called on."""
+    calls = []
+
+    def fn(x):
+        calls.append(np.shape(x))
+        return e.fn(x)
+
+    return Estimator(e.id, fn, e.unbiasedness, e.requires_min_n), calls
+
+
+def sorted_row_classes(m: int, n: int):
+    """Reference multiset labels and sizes: np.unique of sorted outcome rows.
+
+    The index array is outcome_index in int8, so (m, n) = (2, 20) stays small.
+    """
+    index = np.indices((m,) * n, dtype=np.int8).reshape(n, -1).T
+    place = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    _, labels, counts = np.unique(
+        np.sort(index, axis=1) @ place, return_inverse=True, return_counts=True
+    )
+    return index, labels, counts
 
 
 class TestDiscreteModel:
@@ -141,6 +166,12 @@ class TestExactExpectation:
         with pytest.raises(ConfigError):
             exact_expectation(dm, 1.0, lambda v: v[:3, 0])
 
+    @pytest.mark.parametrize("workers", [0, -5])
+    def test_workers_below_one_rejected(self, workers):
+        dm = DiscreteModel((1.0, 2.0, 3.0), 3)
+        with pytest.raises(ConfigError, match=rf"^workers must be >= 1, got {workers}$"):
+            exact_expectation(dm, 1.0, lambda v: v[:, 0], workers=workers)
+
 
 class TestExactRaoBlackwell:
     def test_neglog_first_observation_values(self):
@@ -181,6 +212,20 @@ class TestExactRaoBlackwell:
         brute = symmetrize(g, e, EXACT).fn(vals)
         npt.assert_allclose(grouped, brute, rtol=1e-13, atol=0.0)
 
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(min_value=1, max_value=6), n=st.integers(min_value=1, max_value=6))
+    @example(m=1, n=1)
+    @example(m=1, n=6)
+    @example(m=2, n=20)
+    def test_multiset_labels_match_sorted_rows(self, m, n):
+        labels, counts = _multiset_classes(m, n)
+        index, ref_labels, ref_counts = sorted_row_classes(m, n)
+        npt.assert_array_equal(labels, ref_labels)
+        npt.assert_array_equal(counts, ref_counts)
+        assert labels.dtype == ref_labels.dtype and counts.dtype == ref_counts.dtype
+        if n <= 6:
+            npt.assert_array_equal(index, DiscreteModel(tuple(range(1, m + 1)), n).outcome_index)
+
     def test_sample_outside_support_raises(self):
         dm = DiscreteModel((1.0, 2.0, 3.0), 3)
         rb = exact_rao_blackwell(dm, negative_log(1), FIRST)
@@ -190,6 +235,8 @@ class TestExactRaoBlackwell:
                 rb.fn(np.array([[1.0, 1.0, 1.0], bad]))
         with pytest.raises(ConfigError):
             rb.fn(np.array([1.0, 2.0]))
+        with pytest.raises(DomainError, match=r"^sample value 2\.5 is not in the oracle support$"):
+            rb.fn(np.array([[1.0, 2.0, 2.5], [1.0, 1.0, 2.5]]))
 
     def test_invariant_input_is_fixed_point(self):
         dm = DiscreteModel((1.0, 2.0, 3.0), 3)
@@ -230,6 +277,52 @@ class TestRBInequality:
         npt.assert_allclose(rep.rows[0].gap, half_reduction, atol=1e-12)
 
 
+class TestComputeOnce:
+    """Each check evaluates the estimator once and reuses per-outcome values."""
+
+    THETAS = (0.5, 1.0, 2.0)
+
+    @pytest.mark.parametrize("g", ORACLE_GENERATORS, ids=lambda g: g.id)
+    def test_rb_check_calls_estimator_once(self, g):
+        dm = DiscreteModel((1.0, 2.0, 3.0), 4)
+        e, calls = counting(FIRST)
+        verify_rb_inequality(dm, g, e, self.THETAS)
+        assert calls == [(81, 4)]
+
+    @pytest.mark.parametrize("g", ORACLE_GENERATORS, ids=lambda g: g.id)
+    def test_decomposition_check_calls_estimator_once(self, g):
+        dm = DiscreteModel((1.0, 2.0, 3.0), 4)
+        e, calls = counting(HEAD2)
+        for theta in self.THETAS:
+            calls.clear()
+            verify_decompositions(dm, g, e, theta)
+            assert calls == [(81, 4)]
+
+    @pytest.mark.parametrize(
+        "g", ORACLE_GENERATORS + [negative_log(1).without_closed_forms()], ids=lambda g: g.id
+    )
+    @pytest.mark.parametrize("e", [FIRST, HEAD2, MEAN], ids=lambda e: e.id)
+    def test_rb_risk_is_risk_of_returned_estimator(self, g, e):
+        # bitwise: the check reads the same class table the estimator returns
+        dm = DiscreteModel((0.5, 1.5, 2.5, 4.0), 4)
+        rep = verify_rb_inequality(dm, g, e, self.THETAS)
+        rb = exact_rao_blackwell(dm, g, e)
+        assert rep.rb_estimator_id == rb.id
+        vals = dm.outcome_values
+        for row in rep.rows:
+            w = dm.outcome_weights(row.theta)
+            assert row.risk_rb == _expect(dm, w, bregman_div(g, row.theta, rb.fn(vals)))
+            assert row.risk_estimator == _expect(dm, w, bregman_div(g, row.theta, e.fn(vals)))
+
+    def test_theta_errors_unchanged(self):
+        dm = DiscreteModel((1.0, 2.0), 2)
+        msg = r"^theta = -1\.0 is outside open interval \(0\.0, inf\)$"
+        with pytest.raises(DomainError, match=msg):
+            verify_rb_inequality(dm, negative_log(1), FIRST, (1.0, -1.0))
+        with pytest.raises(DomainError, match=msg):
+            verify_decompositions(dm, negative_log(1), FIRST, -1.0)
+
+
 class TestDecompositions:
     @pytest.mark.parametrize("g", ORACLE_GENERATORS, ids=lambda g: g.id)
     def test_residuals_close(self, g):
@@ -262,8 +355,11 @@ class TestDecompositions:
     def test_estimate_must_stay_in_domain(self):
         dm = DiscreteModel((1.0, 2.0), 2)
         bad = Estimator("bad", lambda x: x[..., 0] - 1.5)
-        with pytest.raises(DomainError):
+        outside = r"\[0\] = -0\.5 is outside open interval \(0\.0, inf\)$"
+        with pytest.raises(DomainError, match=r"^estimate" + outside):
             verify_decompositions(dm, negative_log(1), bad, 1.0)
+        with pytest.raises(DomainError, match=r"^x" + outside):
+            verify_rb_inequality(dm, negative_log(1), bad, (1.0,))
 
 
 class TestCalibratedEstimator:
