@@ -82,8 +82,7 @@ class DiscreteModel:
     @cached_property
     def outcome_index(self) -> np.ndarray:
         """(m^n, n) support indices, lexicographic with the first coordinate slowest."""
-        grids = np.meshgrid(*([np.arange(self.m)] * self.n), indexing="ij")
-        return np.stack(grids, axis=-1).reshape(-1, self.n)
+        return np.ascontiguousarray(np.indices((self.m,) * self.n).reshape(self.n, -1).T)
 
     @cached_property
     def outcome_values(self) -> np.ndarray:

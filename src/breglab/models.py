@@ -6,7 +6,11 @@ shifted into the open interval (0, 1), and each family applies its inverse
 CDF (exponential) or the ndtri Gaussian transform (normal, lognormal).  The
 chunk grid is fixed, so batches are identical for any worker count;
 ``Model.draw_chunk`` is the one place a chunk's stream is keyed, shared by
-whole-batch draws and the risk lab's chunk-by-chunk kernel.
+whole-batch draws and the risk lab's chunk-by-chunk kernel.  A chunk is
+drawn into a caller's buffer when one is given: the uniforms fill it and
+each family's transform runs in place on them, so a chunk allocates no
+array.  ``Model.draw`` passes the rows of its result; the risk lab passes
+one buffer per worker thread.
 """
 
 from __future__ import annotations
@@ -74,6 +78,7 @@ class Model:
         self.support = support
 
     def _transform(self, u: np.ndarray, theta: float) -> np.ndarray:
+        """Observations from open uniforms u; builtins overwrite u and return it."""
         raise NotImplementedError
 
     def _check_theta(self, theta) -> float:
@@ -81,10 +86,21 @@ class Model:
         self.param_space.check(np.asarray(theta), "theta")
         return theta
 
-    def draw_chunk(self, theta: float, n: int, seed: int, c: int, rows: int) -> np.ndarray:
-        """(rows, n) observations of chunk c: the Philox stream keyed by derive_key(seed, c)."""
+    def draw_chunk(
+        self, theta: float, n: int, seed: int, c: int, rows: int, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """(rows, n) observations of chunk c: the Philox stream keyed by derive_key(seed, c).
+
+        With out (C-contiguous float64, shape (rows, n)) the observations are
+        written into it and out is returned.
+        """
         rng = philox(derive_key(int(seed), c))
-        return self._transform(open_uniforms(rng, (rows, n)), theta)
+        x = self._transform(open_uniforms(rng, (rows, n), out=out), theta)
+        if out is None or x is out:
+            return x
+        # a transform that returns a new array instead of working in place
+        out[...] = x
+        return out
 
     def draw(self, theta, n: int, replicates: int, seed: int, workers: int = 1) -> np.ndarray:
         """(replicates, n) array of observations, identical for any worker count."""
@@ -97,7 +113,7 @@ class Model:
         out = np.empty((int(replicates), n))
 
         def fill(c, start, stop):
-            out[start:stop] = self.draw_chunk(theta, n, seed, c, stop - start)
+            self.draw_chunk(theta, n, seed, c, stop - start, out=out[start:stop])
 
         map_chunks(fill, replicates, workers)
         return out
@@ -132,7 +148,10 @@ class ExponentialModel(Model):
 
     def _transform(self, u, theta):
         # inverse CDF: F^{-1}(u) = -theta * log(1 - u)
-        return -theta * np.log1p(-u)
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        u *= -theta
+        return u
 
     @property
     def classical_umvue(self) -> Estimator:
@@ -152,7 +171,11 @@ class NormalModel(Model):
         self._sigma = float(np.sqrt(sigma2))
 
     def _transform(self, u, theta):
-        return theta + self._sigma * ndtri(u)
+        # theta + sigma * ndtri(u)
+        ndtri(u, out=u)
+        u *= self._sigma
+        u += theta
+        return u
 
     @property
     def classical_umvue(self) -> Estimator:
@@ -174,7 +197,12 @@ class LogNormalModel(Model):
         self._sigma = float(np.sqrt(sigma2))
 
     def _transform(self, u, theta):
-        return theta * np.exp(self._sigma * ndtri(u))
+        # theta * exp(sigma * ndtri(u))
+        ndtri(u, out=u)
+        u *= self._sigma
+        np.exp(u, out=u)
+        u *= theta
+        return u
 
     def _stat(self, arr):
         return np.sum(np.log(arr), axis=-1)

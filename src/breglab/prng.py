@@ -40,9 +40,15 @@ def philox(key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def open_uniforms(rng: np.random.Generator, shape) -> np.ndarray:
-    """Uniform draws strictly inside the open interval (0, 1)."""
-    return rng.random(shape) + OPEN_UNIFORM_OFFSET
+def open_uniforms(rng: np.random.Generator, shape, out: np.ndarray | None = None) -> np.ndarray:
+    """Uniform draws strictly inside the open interval (0, 1).
+
+    With out (a C-contiguous float64 array of the given shape) the draws are
+    written into it and out is returned; the values are the same either way.
+    """
+    u = rng.random(shape, out=out)
+    u += OPEN_UNIFORM_OFFSET
+    return u
 
 
 def pairwise_sum(parts):

@@ -6,8 +6,10 @@ rows keyed by derive_key(seed, c), runs the estimators on them and keeps only
 small summaries (counts, means, centred power sums, Bregman information),
 which merge in chunk order through the fixed pairwise tree of
 prng.pairwise_sum.  Workers only schedule chunks, so every report is bitwise
-identical for any worker count, and memory is bounded by the chunk size
-times the worker count, not by the replicate count.  Grid-valued checks
+identical for any worker count.  Each worker thread draws its chunks into
+one (CHUNK_ROWS, n) buffer that lives for one stream pass, so a chunk
+allocates no draw arrays and memory is bounded by the chunk size times the
+worker count, not by the replicate count.  Grid-valued checks
 derive the stream for grid point i from derive_key(seed, i); paired
 operations reuse one replicate set for every arm.
 """
@@ -15,6 +17,7 @@ operations reuse one replicate set for every arm.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +26,7 @@ from .divergence import bregman_div
 from .errors import ConfigError, NumericError
 from .estimators import Estimator
 from .generators import Generator
-from .models import Model, map_chunks
+from .models import CHUNK_ROWS, Model, map_chunks
 from .prng import derive_key, pairwise_sum
 
 ORIENTATIONS = ("left", "right")
@@ -149,6 +152,9 @@ class Moments:
 
     Two sets merge exactly by the updates of Chan, Golub and LeVeque (1979)
     and Pebay (2008), so a chunked reduction keeps five numbers per chunk.
+    M3 and M4 cost two more passes over the values and only the excess
+    kurtosis reads them, so they are computed on request and are NaN
+    otherwise; count, mean and M2 do not depend on them.
     """
 
     k: int = 0
@@ -158,7 +164,8 @@ class Moments:
     m4: float = 0.0
 
     @classmethod
-    def of(cls, values) -> "Moments":
+    def of(cls, values, higher: bool = False) -> "Moments":
+        """Moments of values; M3 and M4 only when higher is true."""
         v = np.asarray(values, dtype=float)
         if v.size == 0:
             return cls()
@@ -168,10 +175,8 @@ class Moments:
         shift = float(np.mean(s))
         d = s - shift
         d2 = d * d
-        return cls(
-            v.size, float(v[0]) + shift, float(np.sum(d2)), float(np.sum(d2 * d)),
-            float(np.sum(d2 * d2)),
-        )
+        m3, m4 = (float(np.sum(d2 * d)), float(np.sum(d2 * d2))) if higher else (math.nan,) * 2
+        return cls(v.size, float(v[0]) + shift, float(np.sum(d2)), m3, m4)
 
     def __add__(self, other: "Moments") -> "Moments":
         if other.k == 0:
@@ -277,15 +282,24 @@ def _stream(model: Model, theta, n, estimators, replicates, seed, workers, reduc
     estimator on them and passes the estimates, keyed by estimator id, to
     reduce, which returns a sequence of summaries.  Summaries merge in the
     fixed pairwise tree, so the result is the same for any worker count.
+
+    Each thread draws every chunk it runs into its own buffer, created on its
+    first chunk and dropped with this pass.  Estimates may be views of that
+    buffer: reduce consumes them before the thread draws its next chunk.
     """
     seen = {}
     for e in estimators:
         if e.id in seen and seen[e.id] is not e:
             raise ConfigError(f"two distinct estimators share the id '{e.id}'")
         seen[e.id] = e
+    n = int(n)
+    local = threading.local()
 
     def chunk(c, start, stop):
-        x = model.draw_chunk(theta, int(n), seed, c, stop - start)
+        buf = getattr(local, "buf", None)
+        if buf is None:
+            buf = local.buf = np.empty((min(CHUNK_ROWS, int(replicates)), n))
+        x = model.draw_chunk(theta, n, seed, c, stop - start, out=buf[: stop - start])
         return _Parts(reduce({eid: np.asarray(e(x), dtype=float) for eid, e in seen.items()}))
 
     return pairwise_sum(map_chunks(chunk, replicates, workers))
@@ -342,7 +356,8 @@ def estimate_risk(
     def reduce(est):
         vals = est[estimator.id]
         vals = vals[g.domain.mask(vals)]
-        return Moments.of(_loss(g, orientation, vals, theta)), BregmanInfo.of(g, orientation, vals)
+        losses = Moments.of(_loss(g, orientation, vals, theta), higher=True)
+        return losses, BregmanInfo.of(g, orientation, vals)
 
     losses, info = _stream(model, theta, n, [estimator], replicates, seed, workers, reduce)
     common = _finalize(model, theta, n, replicates, seed, losses.k)

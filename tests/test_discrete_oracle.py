@@ -106,6 +106,15 @@ class TestDiscreteModel:
             dm.outcome_values, [[1.0, 1.0], [1.0, 2.0], [2.0, 1.0], [2.0, 2.0]]
         )
 
+    def test_outcome_index_matches_meshgrid_construction(self):
+        for m in range(1, 7):
+            for n in range(1, 7):
+                grids = np.meshgrid(*([np.arange(m)] * n), indexing="ij")
+                ref = np.stack(grids, axis=-1).reshape(-1, n)
+                index = DiscreteModel(tuple(range(1, m + 1)), n).outcome_index
+                npt.assert_array_equal(index, ref)
+                assert index.dtype == ref.dtype and index.flags.c_contiguous
+
     def test_outcome_weights_sum_to_one(self):
         dm = DiscreteModel((1.0, 2.0, 3.0), 5)
         npt.assert_allclose(dm.outcome_weights(1.3).sum(), 1.0, atol=1e-12)

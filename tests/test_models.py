@@ -1,8 +1,11 @@
 """Sampling models: reproducible draws, supports, statistics, classical estimators."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.special import ndtri
 
 from breglab import (
     CHUNK_ROWS,
@@ -14,8 +17,25 @@ from breglab import (
     Sample,
     resolve_model,
 )
+from breglab import models
+from breglab.prng import derive_key, open_uniforms, philox
 
 MODELS = [ExponentialModel(), NormalModel(), LogNormalModel()]
+
+# each family's transform written as a fresh-array formula, the reference for
+# the in-place transforms
+REFERENCE_TRANSFORMS = {
+    "exp": lambda m, u, theta: -theta * np.log1p(-u),
+    "normal": lambda m, u, theta: theta + m._sigma * ndtri(u),
+    "lognormal": lambda m, u, theta: theta * np.exp(m._sigma * ndtri(u)),
+}
+
+
+class CopyingExponential(ExponentialModel):
+    """An exponential model whose transform returns a new array."""
+
+    def _transform(self, u, theta):
+        return -theta * np.log1p(-u)
 
 
 class TestSampleContainer:
@@ -78,6 +98,71 @@ class TestDraws:
     def test_workers_below_one_rejected(self, workers):
         with pytest.raises(ConfigError):
             ExponentialModel().draw(2.0, 3, 100, seed=0, workers=workers)
+
+
+class TestInPlaceDraws:
+    ROWS = CHUNK_ROWS + 17  # one full chunk and a short last one
+
+    @pytest.mark.parametrize("model", [*MODELS, NormalModel(2.5)], ids=lambda m: m.id)
+    def test_chunks_equal_reference_formula(self, model):
+        theta, n, seed = (0.3 if model.family == "normal" else 1.7), 3, 5
+        formula = REFERENCE_TRANSFORMS[model.family]
+        buf = np.empty((CHUNK_ROWS, n))
+        x = model.draw(theta, n, self.ROWS, seed)
+        for c, start in enumerate(range(0, self.ROWS, CHUNK_ROWS)):
+            rows = min(CHUNK_ROWS, self.ROWS - start)
+            u = open_uniforms(philox(derive_key(seed, c)), (rows, n))
+            ref = formula(model, u, theta)
+            got = model.draw_chunk(theta, n, seed, c, rows, out=buf[:rows])
+            assert got is not None and np.shares_memory(got, buf)
+            npt.assert_array_equal(got, ref)
+            npt.assert_array_equal(model.draw_chunk(theta, n, seed, c, rows), ref)
+            npt.assert_array_equal(x[start : start + rows], ref)
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.family)
+    def test_draw_is_concatenated_chunks(self, model, workers):
+        theta, n, seed = 2.0, 2, 8
+        rows = 2 * CHUNK_ROWS + 3
+        chunks = [
+            model.draw_chunk(theta, n, seed, c, min(CHUNK_ROWS, rows - start))
+            for c, start in enumerate(range(0, rows, CHUNK_ROWS))
+        ]
+        npt.assert_array_equal(model.draw(theta, n, rows, seed, workers=workers), np.vstack(chunks))
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.family)
+    def test_chunk_into_buffer_allocates_nothing_large(self, model):
+        buf = np.empty((CHUNK_ROWS, 5))  # 2.6 MB
+        model.draw_chunk(1.0, 5, 3, 0, CHUNK_ROWS, out=buf)  # warm up
+        tracemalloc.start()
+        try:
+            model.draw_chunk(1.0, 5, 3, 1, CHUNK_ROWS, out=buf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_uniforms_come_through_the_module_name(self, monkeypatch):
+        # profilers wrap models.open_uniforms; the draw must look it up there
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("out") is not None)
+            return open_uniforms(*args, **kwargs)
+
+        monkeypatch.setattr(models, "open_uniforms", counting)
+        ExponentialModel().draw(1.0, 2, self.ROWS, seed=1)
+        assert calls == [True, True]
+
+    def test_transform_returning_new_array(self):
+        theta, n, seed = 1.5, 4, 12
+        base = ExponentialModel().draw(theta, n, self.ROWS, seed)
+        model = CopyingExponential()
+        for workers in (1, 2):
+            npt.assert_array_equal(model.draw(theta, n, self.ROWS, seed, workers=workers), base)
+        buf = np.empty((17, n))
+        assert model.draw_chunk(theta, n, seed, 1, 17, out=buf) is buf
+        npt.assert_array_equal(buf, base[CHUNK_ROWS:])
 
 
 class TestDistributions:

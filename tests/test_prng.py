@@ -79,6 +79,14 @@ class TestOpenUniforms:
         rng2 = philox(derive_key(3))
         npt.assert_array_equal(open_uniforms(rng1, 16), rng2.random(16) + OPEN_UNIFORM_OFFSET)
 
+    def test_fills_out_in_place(self):
+        out = np.empty((7, 3))
+        u = open_uniforms(philox(derive_key(3)), (7, 3), out=out)
+        assert u is out
+        npt.assert_array_equal(out, open_uniforms(philox(derive_key(3)), (7, 3)))
+        with pytest.raises(ValueError):
+            open_uniforms(philox(derive_key(3)), (8, 3), out=out)
+
 
 class TestPairwiseSum:
     def test_matches_plain_sum(self):

@@ -1,6 +1,7 @@
 """Monte Carlo risk lab: reports, verdicts, pairing, and drop accounting."""
 
 import dataclasses
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -278,7 +279,7 @@ class TestPartials:
         g = PARTIAL_GENERATORS[gen]
         bounds = [0, *sorted(min(c, x.size) for c in cuts), x.size]
         parts = [x[a:b] for a, b in zip(bounds[:-1], bounds[1:])]  # empty parts included
-        m = pairwise_sum([Moments.of(p) for p in parts])
+        m = pairwise_sum([Moments.of(p, higher=True) for p in parts])
         exact = [Fraction(v) for v in values]
         mean = sum(exact) / len(exact)
         sums = [float(sum((v - mean) ** r for v in exact)) for r in (2, 3, 4)]
@@ -409,6 +410,64 @@ class TestChunkedReference:
         base = [dataclasses.asdict(r) for r in self.reports(1)]
         for workers in (2, 8):
             assert [dataclasses.asdict(r) for r in self.reports(workers)] == base
+
+
+class TestDrawBuffers:
+    """Chunks are drawn into one reused buffer per worker thread."""
+
+    ROWS = 2 * CHUNK_ROWS + 17
+
+    def reports(self, e1, e2, workers):
+        run = (self.ROWS, 31, workers)
+        return [
+            dataclasses.asdict(r)
+            for r in (
+                estimate_risk(EXP, 2.0, 3, e1, NEGLOG, "left", *run),
+                estimate_risk(EXP, 2.0, 3, e1, NEGLOG, "right", *run),
+                *check_type1_unbiased(EXP, [1.0, 2.0], e1, NEGLOG, 3, *run),
+                *check_type2_unbiased(EXP, [2.0], e1, 3, *run),
+                lehmann_grid_check(EXP, 2.0, (1.5, 2.0), e1, NEGLOG, "right", 3, *run),
+                compare_estimators(EXP, 2.0, 3, (e1, e2), NEGLOG, "left", *run),
+            )
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_estimates_may_be_views_of_the_buffer(self, workers):
+        # a view of the draw buffer is overwritten by the thread's next chunk;
+        # every report must be reduced before that happens
+        view = Estimator("first", lambda x: x[..., 0])
+        copy = Estimator("first", lambda x: x[..., 0].copy())
+        last = Estimator("last", lambda x: x[..., -1].copy())
+        base = self.reports(copy, last, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so a shared buffer would race
+        try:
+            assert self.reports(view, last, workers) == base
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_buffer_does_not_outlive_the_pass(self):
+        e = build_type1_umvue(EXP, NEGLOG)
+        estimate_risk(EXP, 2.0, 5, e, NEGLOG, "left", 2 * CHUNK_ROWS, seed=3)  # warm up
+        tracemalloc.start()
+        try:
+            estimate_risk(EXP, 2.0, 5, e, NEGLOG, "left", 2 * CHUNK_ROWS, seed=3, workers=2)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak > 5 * CHUNK_ROWS * 8  # at least one (CHUNK_ROWS, 5) buffer was live
+        assert current < 64 * 1024
+
+
+class TestMomentOrders:
+    def test_low_orders_do_not_depend_on_higher(self):
+        x = EXP.draw(2.0, 1, 5000, seed=4)[:, 0]
+        parts = [x[:1000], x[1000:1001], x[1001:1001], x[1001:]]
+        low = pairwise_sum([Moments.of(p) for p in parts])
+        full = pairwise_sum([Moments.of(p, higher=True) for p in parts])
+        assert (low.k, low.mean, low.m2, low.se) == (full.k, full.mean, full.m2, full.se)
+        assert np.isnan(low.m3) and np.isnan(low.m4) and np.isnan(low.excess_kurtosis)
+        assert np.isfinite(full.excess_kurtosis)
 
 
 def test_risk_memory_does_not_grow_with_replicates():
