@@ -17,6 +17,7 @@ from .discrete_oracle import (
     exact_rao_blackwell,
     resolve_discrete_estimator,
     verify_decompositions,
+    verify_decompositions_grid,
     verify_rb_inequality,
 )
 from .divergence import (

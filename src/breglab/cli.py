@@ -22,7 +22,7 @@ from . import reporting
 from .discrete_oracle import (
     DiscreteModel,
     resolve_discrete_estimator,
-    verify_decompositions,
+    verify_decompositions_grid,
     verify_rb_inequality,
 )
 from .divergence import bregman_div, dual_transport
@@ -361,7 +361,7 @@ def cmd_oracle(args) -> int:
     e = resolve_discrete_estimator(cfg["estimator"])
     grid = _float_list(cfg["theta"])
     rb = verify_rb_inequality(dm, g, e, grid)
-    checks = [verify_decompositions(dm, g, e, theta) for theta in grid]
+    checks = verify_decompositions_grid(dm, g, e, grid)
     rows = []
     for row, chk in zip(rb.rows, checks):
         rows.append(

@@ -313,51 +313,65 @@ class DecompositionCheck:
         return max(self.residual_left, self.residual_right)
 
 
-def verify_decompositions(dm: DiscreteModel, g: Generator, e: Estimator, theta) -> DecompositionCheck:
-    """Exact risk = bias + variance in both orientations, residuals to 1e-12.
+def verify_decompositions_grid(
+    dm: DiscreteModel, g: Generator, e: Estimator, theta_grid
+) -> list[DecompositionCheck]:
+    """Exact risk = bias + variance in both orientations at each theta, residuals to 1e-12.
 
-    e.fn runs once, and phi and grad phi of its estimates serve all four
-    divergences against them.
+    e.fn runs once per call, its estimates' domain is checked once, and phi
+    and grad phi of them serve all four divergences against them at every
+    theta.  Each check equals verify_decompositions at its theta bitwise.
     """
     delta = np.asarray(e.fn(dm.outcome_values), dtype=float)
     g.domain.check(delta, "estimate")
-    theta = float(theta)
-    w = dm.outcome_weights(theta)
     grad_d = np.asarray(g.gradient(delta))
-    center_left = float(g.invert_gradient(_expect(dm, w, grad_d)))
-    phi_t = g.value(theta)
     phi_d = g.value(delta)
+    checks = []
+    for theta in map(float, theta_grid):
+        w = dm.outcome_weights(theta)
+        center_left = float(g.invert_gradient(_expect(dm, w, grad_d)))
+        phi_t = g.value(theta)
 
-    risk_left = _expect(dm, w, _div(g, theta, delta, phi_t - phi_d, grad_d))
-    bias_left = float(bregman_div(g, theta, center_left))
-    var_left = _expect(dm, w, _div(g, center_left, delta, g.value(center_left) - phi_d, grad_d))
-    residual_left = abs(risk_left - bias_left - var_left)
+        risk_left = _expect(dm, w, _div(g, theta, delta, phi_t - phi_d, grad_d))
+        bias_left = float(bregman_div(g, theta, center_left))
+        var_left = _expect(
+            dm, w, _div(g, center_left, delta, g.value(center_left) - phi_d, grad_d)
+        )
+        residual_left = abs(risk_left - bias_left - var_left)
 
-    center_right = _expect(dm, w, delta)
-    risk_right = _expect(dm, w, _div(g, delta, theta, phi_d - phi_t, g.gradient(theta)))
-    bias_right = float(bregman_div(g, center_right, theta))
-    phi_c, grad_c = g.value(center_right), g.gradient(center_right)
-    var_right = _expect(dm, w, _div(g, delta, center_right, phi_d - phi_c, grad_c))
-    residual_right = abs(risk_right - bias_right - var_right)
+        center_right = _expect(dm, w, delta)
+        risk_right = _expect(dm, w, _div(g, delta, theta, phi_d - phi_t, g.gradient(theta)))
+        bias_right = float(bregman_div(g, center_right, theta))
+        phi_c, grad_c = g.value(center_right), g.gradient(center_right)
+        var_right = _expect(dm, w, _div(g, delta, center_right, phi_d - phi_c, grad_c))
+        residual_right = abs(risk_right - bias_right - var_right)
 
-    return DecompositionCheck(
-        generator_id=g.id,
-        estimator_id=e.id,
-        support=dm.support,
-        n=dm.n,
-        theta=theta,
-        risk_left=risk_left,
-        bias_left=bias_left,
-        variance_left=var_left,
-        center_left=center_left,
-        residual_left=residual_left,
-        risk_right=risk_right,
-        bias_right=bias_right,
-        variance_right=var_right,
-        center_right=float(center_right),
-        residual_right=residual_right,
-        passed=bool(max(residual_left, residual_right) <= RESIDUAL_TOL),
-    )
+        checks.append(
+            DecompositionCheck(
+                generator_id=g.id,
+                estimator_id=e.id,
+                support=dm.support,
+                n=dm.n,
+                theta=theta,
+                risk_left=risk_left,
+                bias_left=bias_left,
+                variance_left=var_left,
+                center_left=center_left,
+                residual_left=residual_left,
+                risk_right=risk_right,
+                bias_right=bias_right,
+                variance_right=var_right,
+                center_right=float(center_right),
+                residual_right=residual_right,
+                passed=bool(max(residual_left, residual_right) <= RESIDUAL_TOL),
+            )
+        )
+    return checks
+
+
+def verify_decompositions(dm: DiscreteModel, g: Generator, e: Estimator, theta) -> DecompositionCheck:
+    """verify_decompositions_grid at the single parameter theta."""
+    return verify_decompositions_grid(dm, g, e, [theta])[0]
 
 
 def calibrated_type1_estimator(

@@ -16,8 +16,9 @@ NEG_CLAMP = 1e-12
 WEIGHT_SUM_TOL = 1e-12
 
 
-def _inner(g: Generator, u, v):
-    prod = np.asarray(u) * np.asarray(v)
+def _inner(g: Generator, u, v: np.ndarray):
+    """<u, v> over the coordinate axis; v is a fresh array that the products overwrite."""
+    prod = np.multiply(u, v, out=v)
     return prod if g.dimension == 1 else np.sum(prod, axis=-1)
 
 
@@ -40,8 +41,13 @@ def _clamped(d):
 
 
 def _div(g: Generator, x, y, phi_gap, grad_y):
-    """D_phi(x, y) from phi_gap = phi(x) - phi(y) and grad phi(y), which a caller may reuse."""
-    return _clamped(phi_gap - _inner(g, grad_y, x - y))
+    """D_phi(x, y) from phi_gap = phi(x) - phi(y) and grad phi(y), which a caller may reuse.
+
+    The inputs are only read; the arithmetic runs in place on one array of
+    its own, so a batch costs one allocation and not three.
+    """
+    inner = np.asarray(_inner(g, grad_y, np.asarray(x - y)))
+    return _clamped(np.subtract(phi_gap, inner, out=inner))
 
 
 def bregman_div(g: Generator, x, y):
@@ -57,7 +63,7 @@ def dual_divergence(g: Generator, u, v):
     """Divergence of the conjugate generator, evaluated at dual points."""
     ua = np.asarray(u, dtype=float)
     va = np.asarray(v, dtype=float)
-    d = g.conjugate(ua) - g.conjugate(va) - _inner(g, g.invert_gradient(va), ua - va)
+    d = g.conjugate(ua) - g.conjugate(va) - _inner(g, g.invert_gradient(va), np.asarray(ua - va))
     return _clamped(d)
 
 

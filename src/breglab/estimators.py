@@ -156,10 +156,29 @@ def symmetrize(g: Generator, e: Estimator, budget=EXACT, seed: int = 0) -> Estim
     )
 
 
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """np.sum(x, axis=-1), bitwise, adding the columns left to right when n < 8.
+
+    For a batch of rows with n < 8, numpy's sum adds the columns one by one
+    onto a +0.0 start (so a row of -0.0 sums to +0.0); the same adds written
+    out take about half the time.  From n = 8 numpy sums each row pairwise,
+    and a single row always, also one shaped (1, ..., 1, n), whose NaN sign
+    bits the column adds would not keep; so those cases call np.sum.  A row
+    mean is this sum divided by n, as in np.mean.
+    """
+    n = x.shape[-1]
+    if x.ndim < 2 or n >= 8 or x.size == n:
+        return np.sum(x, axis=-1)
+    out = x[..., 0] + 0.0
+    for j in range(1, n):
+        out += x[..., j]
+    return out
+
+
 def _type1_exp_neglog(model) -> Estimator:
     return Estimator(
         "type1",
-        lambda x: np.sum(x, axis=-1) / (x.shape[-1] - 1),
+        lambda x: _row_sum(x) / (x.shape[-1] - 1),
         frozenset({"type1:neglog"}),
         requires_min_n=2,
     )
@@ -168,7 +187,7 @@ def _type1_exp_neglog(model) -> Estimator:
 def _type1_lognormal_negentropy(model) -> Estimator:
     return Estimator(
         "type1",
-        lambda x: np.exp(np.mean(np.log(x), axis=-1)),
+        lambda x: np.exp(_row_sum(np.log(x)) / x.shape[-1]),
         frozenset({"type1:negentropy"}),
         requires_min_n=1,
     )
@@ -177,7 +196,7 @@ def _type1_lognormal_negentropy(model) -> Estimator:
 def _type1_normal_sqeuclid(model) -> Estimator:
     return Estimator(
         "type1",
-        lambda x: np.mean(x, axis=-1),
+        lambda x: _row_sum(x) / x.shape[-1],
         frozenset({"type1:sqeuclid", "type2"}),
         requires_min_n=1,
     )
@@ -228,7 +247,7 @@ def first_k_estimator(model, g: Generator | None, k: int) -> Estimator:
         fn = lambda x, _f=base.fn: _f(x[..., :k])
         tags = base.unbiasedness
     else:
-        fn = lambda x: np.mean(x[..., :k], axis=-1)
+        fn = lambda x: _row_sum(x[..., :k]) / k
         tags = (
             frozenset({"type2"})
             if getattr(model, "family", None) in ("exp", "normal")

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import ConfigError
-from .estimators import Estimator
+from .estimators import Estimator, _row_sum
 from .generators import DomainSpec
 from .prng import derive_key, open_uniforms, philox
 
@@ -155,7 +155,7 @@ class ExponentialModel(Model):
 
     @property
     def classical_umvue(self) -> Estimator:
-        return Estimator("classical", lambda x: np.mean(x, axis=-1), frozenset({"type2"}), 1)
+        return Estimator("classical", lambda x: _row_sum(x) / x.shape[-1], frozenset({"type2"}), 1)
 
 
 class NormalModel(Model):
@@ -179,7 +179,7 @@ class NormalModel(Model):
 
     @property
     def classical_umvue(self) -> Estimator:
-        return Estimator("classical", lambda x: np.mean(x, axis=-1), frozenset({"type2"}), 1)
+        return Estimator("classical", lambda x: _row_sum(x) / x.shape[-1], frozenset({"type2"}), 1)
 
 
 class LogNormalModel(Model):
@@ -213,7 +213,7 @@ class LogNormalModel(Model):
 
         def fn(x):
             n = x.shape[-1]
-            return np.exp(np.mean(np.log(x), axis=-1) - sigma2 / (2.0 * n))
+            return np.exp(_row_sum(np.log(x)) / n - sigma2 / (2.0 * n))
 
         return Estimator("classical", fn, frozenset({"type2"}), 1)
 

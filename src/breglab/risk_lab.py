@@ -12,6 +12,17 @@ allocates no draw arrays and memory is bounded by the chunk size times the
 worker count, not by the replicate count.  Grid-valued checks
 derive the stream for grid point i from derive_key(seed, i); paired
 operations reuse one replicate set for every arm.
+
+A chunk computes each quantity once.  It takes an estimator's domain mask
+once and copies the in-domain estimates only when the mask drops one.  It
+evaluates phi at them once, and grad phi once where a left divergence or the
+left dual mean reads it.  Every per-replicate divergence (the loss against
+theta or against each grid parameter, and the Bregman information's sum
+against its center) is then one divergence._div on those arrays, with phi
+and grad phi of theta and of the grid parameters evaluated once per call and
+those of the center once per chunk.  This is the arithmetic bregman_div
+does, minus its repeats, so no float differs from evaluating every
+divergence with bregman_div.
 """
 
 from __future__ import annotations
@@ -19,10 +30,11 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .divergence import bregman_div
+from .divergence import _div, bregman_div
 from .errors import ConfigError, NumericError
 from .estimators import Estimator
 from .generators import Generator
@@ -171,12 +183,19 @@ class Moments:
             return cls()
         # shifting by the first value keeps a constant set exact: its mean is
         # that value and its power sums are 0
-        s = v - v[0]
-        shift = float(np.mean(s))
-        d = s - shift
+        d = v - v[0]
+        shift = float(np.mean(d))
+        d -= shift
         d2 = d * d
-        m3, m4 = (float(np.sum(d2 * d)), float(np.sum(d2 * d2))) if higher else (math.nan,) * 2
-        return cls(v.size, float(v[0]) + shift, float(np.sum(d2)), m3, m4)
+        m2 = float(np.sum(d2))
+        m3 = m4 = math.nan
+        if higher:
+            # in place: the products are the same, with one array less alive
+            d *= d2
+            m3 = float(np.sum(d))
+            d2 *= d2
+            m4 = float(np.sum(d2))
+        return cls(v.size, float(v[0]) + shift, m2, m3, m4)
 
     def __add__(self, other: "Moments") -> "Moments":
         if other.k == 0:
@@ -231,16 +250,17 @@ class BregmanInfo:
     v: float = 0.0
 
     @classmethod
-    def of(cls, g: Generator, orientation: str, est) -> "BregmanInfo":
-        if est.size == 0:
+    def of(cls, g: Generator, orientation: str, est: "_Evaluated") -> "BregmanInfo":
+        """Info of the estimates est.x, from phi and (left) grad phi evaluated at them."""
+        if est.x.size == 0:
             return cls(g, orientation)
         if orientation == "left":
-            mean = float(np.mean(g.gradient(est)))
+            mean = float(np.mean(est.grad))
             center = float(g.invert_gradient(mean))
         else:
-            mean = center = float(np.mean(est))
-        v = float(np.sum(_loss(g, orientation, est, center)))
-        return cls(g, orientation, est.size, mean, center, v)
+            mean = center = float(np.mean(est.x))
+        v = float(np.sum(_loss(g, orientation, est, _evaluate(g, orientation, center, False))))
+        return cls(g, orientation, est.x.size, mean, center, v)
 
     def _excess(self, y: float) -> float:
         """Summed divergence of the set to y (left: from y) minus v."""
@@ -263,9 +283,42 @@ class BregmanInfo:
         return BregmanInfo(self.g, self.orientation, self.k + other.k, mean, center, v)
 
 
-def _loss(g: Generator, orientation: str, est, y):
-    """D(y, est) for the left orientation, D(est, y) for the right."""
-    return bregman_div(g, y, est) if orientation == "left" else bregman_div(g, est, y)
+class _Evaluated(NamedTuple):
+    """Points x with phi(x), and grad phi(x) where a loss or a dual mean reads it."""
+
+    x: object
+    phi: object
+    grad: object
+
+
+def _evaluate(g: Generator, orientation: str, x, estimates: bool) -> _Evaluated:
+    """phi at x, and grad phi where the orientation's loss or dual mean reads it.
+
+    A loss takes grad phi at its second argument: the estimates on the left,
+    the other point (theta, a grid parameter or the center) on the right.
+    The left dual mean also reads grad phi of the estimates.
+    """
+    wants_grad = (orientation == "left") == estimates
+    return _Evaluated(x, g.value(x), g.gradient(x) if wants_grad else None)
+
+
+def _loss(g: Generator, orientation: str, est: _Evaluated, y: _Evaluated):
+    """D(y, est) for the left orientation, D(est, y) for the right.
+
+    The same arithmetic as bregman_div, from phi and grad phi evaluated once.
+    """
+    a, b = (y, est) if orientation == "left" else (est, y)
+    return _div(g, a.x, b.x, a.phi - b.phi, b.grad)
+
+
+def _kept(values, keep):
+    """values where keep holds; values itself, not a copy, when keep drops nothing."""
+    return values if keep.all() else values[keep]
+
+
+def _in_domain(g: Generator, values):
+    """The values inside g's domain, copied only when one is outside it."""
+    return _kept(values, g.domain.mask(values))
 
 
 class _Parts(tuple):
@@ -286,6 +339,8 @@ def _stream(model: Model, theta, n, estimators, replicates, seed, workers, reduc
     Each thread draws every chunk it runs into its own buffer, created on its
     first chunk and dropped with this pass.  Estimates may be views of that
     buffer: reduce consumes them before the thread draws its next chunk.
+    The dict is reduce's own, so an estimate reduce pops from it is freed as
+    soon as reduce is done with it or with the in-domain copy it made.
     """
     seen = {}
     for e in estimators:
@@ -353,21 +408,25 @@ def estimate_risk(
     _check_orientation(orientation)
     theta = _check_setup(model, theta, n, [estimator], g, replicates)
 
+    y = _evaluate(g, orientation, theta, False)
+
     def reduce(est):
-        vals = est[estimator.id]
-        vals = vals[g.domain.mask(vals)]
-        losses = Moments.of(_loss(g, orientation, vals, theta), higher=True)
-        return losses, BregmanInfo.of(g, orientation, vals)
+        d = _evaluate(g, orientation, _in_domain(g, est.pop(estimator.id)), True)
+        info = BregmanInfo.of(g, orientation, d)
+        loss = _loss(g, orientation, d, y)
+        del d  # phi and grad phi make room for the loss moments' temporaries
+        return Moments.of(loss, higher=True), info
 
     losses, info = _stream(model, theta, n, [estimator], replicates, seed, workers, reduce)
     common = _finalize(model, theta, n, replicates, seed, losses.k)
+    a, b = (theta, info.center) if orientation == "left" else (info.center, theta)
     return RiskReport(
         **common,
         generator_id=g.id,
         estimator_id=estimator.id,
         orientation=orientation,
         risk=losses.mean,
-        bias_term=float(_loss(g, orientation, info.center, theta)),
+        bias_term=float(bregman_div(g, a, b)),
         variance_term=info.v / info.k,
         center=info.center,
         se_risk=losses.se,
@@ -394,9 +453,9 @@ def _unbiasedness_checks(
         for e, g, _ in checks:
             vals = est[e.id]
             if g is None:
-                parts.append(Moments.of(vals[np.isfinite(vals)]))
+                parts.append(Moments.of(_kept(vals, np.isfinite(vals))))
             else:
-                parts.append(Moments.of(g.gradient(vals[g.domain.mask(vals)])))
+                parts.append(Moments.of(g.gradient(_kept(vals, g.domain.mask(vals)))))
         return parts
 
     reports = []
@@ -498,10 +557,11 @@ def lehmann_grid_check(
     for v in grid:
         g.domain.check(np.asarray(v), "grid parameter")
 
+    ys = [_evaluate(g, orientation, v, False) for v in grid]
+
     def reduce(est):
-        vals = est[estimator.id]
-        vals = vals[g.domain.mask(vals)]
-        return [Moments.of(_loss(g, orientation, vals, v)) for v in grid]
+        d = _evaluate(g, orientation, _in_domain(g, est.pop(estimator.id)), True)
+        return [Moments.of(_loss(g, orientation, d, y)) for y in ys]
 
     parts = _stream(model, theta, n, [estimator], replicates, seed, workers, reduce)
     common = _finalize(model, theta, n, replicates, seed, parts[0].k)
@@ -547,10 +607,15 @@ def compare_estimators(
     e1, e2 = estimator_pair
     theta = _check_setup(model, theta, n, [e1, e2], g, replicates)
 
+    y = _evaluate(g, orientation, theta, False)
+
     def reduce(est):
-        a, b = est[e1.id], est[e2.id]
+        a = est.pop(e1.id)
+        b = est.pop(e2.id, a)  # one entry when both arms are the same estimator
         keep = g.domain.mask(a) & g.domain.mask(b)
-        l1, l2 = _loss(g, orientation, a[keep], theta), _loss(g, orientation, b[keep], theta)
+        l1 = _loss(g, orientation, _evaluate(g, orientation, _kept(a, keep), True), y)
+        del a  # the first arm's estimates are not needed for the second
+        l2 = _loss(g, orientation, _evaluate(g, orientation, _kept(b, keep), True), y)
         return Moments.of(l1), Moments.of(l2), Moments.of(l1 - l2)
 
     m1, m2, diff = _stream(model, theta, n, [e1, e2], replicates, seed, workers, reduce)

@@ -10,6 +10,13 @@ import numpy as np
 import pytest
 
 import breglab
+from breglab import (
+    DiscreteModel,
+    negative_log,
+    resolve_discrete_estimator,
+    verify_decompositions,
+    verify_rb_inequality,
+)
 from breglab.cli import main
 
 
@@ -231,6 +238,28 @@ class TestOracleCommand:
         assert code == 0
         assert out.count("theta = ") == 3
         assert "PASS max_residual = " in out
+
+    def test_out_rows_are_the_one_theta_checks(self, capsys, tmp_path):
+        path = tmp_path / "o.json"
+        grid = (0.5, 1.0, 2.0)
+        code, _, _ = run(
+            capsys, "oracle", "--m", "3", "--n", "4", "--gen", "neglog",
+            "--estimator", "first-k:2", "--theta", ",".join(map(str, grid)), "--out", str(path),
+        )
+        assert code == 0
+        dm, g = DiscreteModel((1.0, 2.0, 3.0), 4), negative_log(1)
+        e = resolve_discrete_estimator("first-k:2")
+        rb = verify_rb_inequality(dm, g, e, grid)
+        rows = json.loads(path.read_text())["reports"]
+        assert len(rows) == len(grid)
+        for row, rb_row, theta in zip(rows, rb.rows, grid):
+            chk = verify_decompositions(dm, g, e, theta)
+            assert (row["theta"], row["risk_estimator"], row["risk_rb"]) == (
+                theta, rb_row.risk_estimator, rb_row.risk_rb
+            )
+            assert (row["residual_left"], row["residual_right"]) == (
+                chk.residual_left, chk.residual_right
+            )
 
     def test_explicit_support(self, capsys):
         code, out, _ = run(

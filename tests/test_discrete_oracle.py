@@ -25,6 +25,7 @@ from breglab import (
     squared_euclidean,
     symmetrize,
     verify_decompositions,
+    verify_decompositions_grid,
     verify_rb_inequality,
 )
 from breglab.discrete_oracle import _expect, _multiset_classes
@@ -306,6 +307,24 @@ class TestComputeOnce:
             calls.clear()
             verify_decompositions(dm, g, e, theta)
             assert calls == [(81, 4)]
+
+    @pytest.mark.parametrize("g", ORACLE_GENERATORS, ids=lambda g: g.id)
+    def test_decomposition_grid_calls_estimator_once(self, g):
+        dm = DiscreteModel((1.0, 2.0, 3.0), 4)
+        e, calls = counting(HEAD2)
+        checks = verify_decompositions_grid(dm, g, e, self.THETAS)
+        assert calls == [(81, 4)]
+        assert [c.theta for c in checks] == list(self.THETAS)
+
+    @pytest.mark.parametrize(
+        "g", ORACLE_GENERATORS + [negative_log(1).without_closed_forms()], ids=lambda g: g.id
+    )
+    @pytest.mark.parametrize("e", [FIRST, HEAD2, MEAN], ids=lambda e: e.id)
+    def test_grid_checks_equal_one_theta_checks(self, g, e):
+        dm = DiscreteModel((0.5, 1.5, 2.5, 4.0), 3)
+        grid = verify_decompositions_grid(dm, g, e, self.THETAS)
+        # dataclass equality compares every float field exactly
+        assert grid == [verify_decompositions(dm, g, e, theta) for theta in self.THETAS]
 
     @pytest.mark.parametrize(
         "g", ORACLE_GENERATORS + [negative_log(1).without_closed_forms()], ids=lambda g: g.id

@@ -5,6 +5,8 @@ import itertools
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from breglab import (
     EXACT,
@@ -29,6 +31,7 @@ from breglab import (
     symmetrize,
     to_dual,
 )
+from breglab.estimators import _row_sum
 
 first_obs = Estimator("first", lambda x: x[..., 0])
 head2_mean = Estimator("head2", lambda x: np.mean(x[..., :2], axis=-1), requires_min_n=2)
@@ -244,3 +247,78 @@ class TestResolveEstimator:
         for spec in ("first-k:x", "const:x", "median"):
             with pytest.raises(ConfigError):
                 resolve_estimator(spec, model, negative_log(1))
+
+
+# magnitudes 1e-300..1e300 of either sign, and the values that sums treat specially
+ROW_VALUES = st.one_of(
+    st.builds(lambda m, sign: sign * m, st.floats(1e-300, 1e300), st.sampled_from([1.0, -1.0])),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
+)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def _columns_left_to_right(x):
+    out = x[..., 0] + 0.0
+    for j in range(1, x.shape[-1]):
+        out += x[..., j]
+    return out
+
+
+class TestRowSum:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 7),
+        lead=st.sampled_from([(), (1,), (6,), (2, 3)]),
+        data=st.data(),
+    )
+    def test_short_rows_bitwise_equal_numpy(self, n, lead, data):
+        size = int(np.prod(lead, dtype=int)) * n
+        x = np.array(data.draw(st.lists(ROW_VALUES, min_size=size, max_size=size)))
+        x = x.reshape(*lead, n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _bits(_row_sum(x)) == _bits(np.sum(x, axis=-1))
+            assert _bits(_row_sum(x) / n) == _bits(np.mean(x, axis=-1))
+
+    def test_all_negative_zero_rows_sum_to_positive_zero(self):
+        # numpy adds the columns onto +0.0, so only the helper's start keeps this equal
+        x = np.full((3, 4), -0.0)
+        assert _bits(_row_sum(x)) == _bits(np.sum(x, axis=-1)) == _bits(np.zeros(3))
+
+    @pytest.mark.parametrize("n", [8, 9, 12])
+    def test_long_rows_fall_back_to_numpy(self, n):
+        # 1 + 2^-53 rounds to 1 left to right, but numpy's pairwise tree keeps the tail
+        x = np.full((3, n), 2.0**-53)
+        x[:, 0] = 1.0
+        assert _bits(_row_sum(x)) == _bits(np.sum(x, axis=-1))
+        assert _bits(_columns_left_to_right(x)) != _bits(np.sum(x, axis=-1))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 7, 9])
+    def test_builtin_estimators_keep_their_numpy_formulas(self, n):
+        sigma2 = 0.7
+        cases = [
+            (ExponentialModel(), 2.0, negative_log(1)),
+            (LogNormalModel(sigma2=sigma2), 1.5, negative_entropy(1)),
+            (NormalModel(sigma2=sigma2), -0.4, squared_euclidean(1)),
+        ]
+        for model, theta, g in cases:
+            x = model.draw(theta, n, 5000, seed=n)
+            logs = np.log(x) if model.family == "lognormal" else None
+            type1 = {
+                "exp": lambda: np.sum(x, axis=-1) / (n - 1),
+                "lognormal": lambda: np.exp(np.mean(logs, axis=-1)),
+                "normal": lambda: np.mean(x, axis=-1),
+            }[model.family]
+            classical = {
+                "exp": lambda: np.mean(x, axis=-1),
+                "lognormal": lambda: np.exp(np.mean(logs, axis=-1) - sigma2 / (2.0 * n)),
+                "normal": lambda: np.mean(x, axis=-1),
+            }[model.family]
+            if n >= 2 or model.family != "exp":
+                assert _bits(build_type1_umvue(model, g)(x)) == _bits(type1())
+            assert _bits(model.classical_umvue(x)) == _bits(classical())
+            for k in range(1, n + 1):
+                head = first_k_estimator(model, None, k)
+                assert _bits(head(x)) == _bits(np.mean(x[..., :k], axis=-1))

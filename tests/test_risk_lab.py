@@ -36,7 +36,8 @@ from breglab import (
     to_dual,
 )
 from breglab.prng import derive_key, pairwise_sum
-from breglab.risk_lab import BregmanInfo, Moments
+from breglab.generators import SeparableGenerator
+from breglab.risk_lab import BregmanInfo, Moments, _evaluate, _stream
 
 EXP = ExponentialModel()
 NEGLOG = negative_log(1)
@@ -289,7 +290,9 @@ class TestPartials:
         _close(m.m3, sums[1], float(sum(abs(v - mean) ** 3 for v in exact)))  # M3 may cancel
         _close(m.m4, sums[2], sums[2])
         for orientation in ("left", "right"):
-            info = pairwise_sum([BregmanInfo.of(g, orientation, p) for p in parts])
+            info = pairwise_sum(
+                [BregmanInfo.of(g, orientation, _evaluate(g, orientation, p, True)) for p in parts]
+            )
             if orientation == "left":
                 center = float(g.invert_gradient(np.mean(g.gradient(x))))
                 v = float(np.sum(bregman_div(g, center, x)))
@@ -483,3 +486,198 @@ def test_risk_memory_does_not_grow_with_replicates():
 
     peak(2 * CHUNK_ROWS)  # warm up lazy imports and caches
     assert peak(16 * CHUNK_ROWS) < 2 * peak(2 * CHUNK_ROWS)
+
+
+class CountingNegLog(SeparableGenerator):
+    """negative_log(1) that counts the points of its array evaluations of phi and grad phi.
+
+    Scalar evaluations (theta, grid parameters, chunk centers) are not counted.
+    """
+
+    def __init__(self):
+        g = negative_log(1)
+        super().__init__(g.id, g.domain, g.dual_domain, g._rule)
+        self.points = {"value": 0, "gradient": 0}
+
+    def _count(self, name, x):
+        if np.ndim(x) > 0:
+            self.points[name] += np.size(x)
+
+    def value(self, x):
+        self._count("value", x)
+        return super().value(x)
+
+    def gradient(self, x):
+        self._count("gradient", x)
+        return super().gradient(x)
+
+
+class TestComputeOnce:
+    """phi and grad phi of the estimates are evaluated once per replicate."""
+
+    M = 2 * CHUNK_ROWS + 17
+
+    @pytest.mark.parametrize("orientation, gradients", [("left", 1), ("right", 0)])
+    def test_estimate_risk_points_per_replicate(self, orientation, gradients):
+        g = CountingNegLog()
+        e = build_type1_umvue(EXP, g)
+        rep = estimate_risk(EXP, 2.0, 5, e, g, orientation, self.M, seed=5)
+        assert rep.dropped == 0
+        assert g.points["value"] == self.M
+        assert g.points["gradient"] <= gradients * self.M
+
+    @pytest.mark.parametrize("orientation", ["left", "right"])
+    def test_lehmann_points_do_not_grow_with_the_grid(self, orientation):
+        e = build_type1_umvue(EXP, NEGLOG)
+        points = []
+        for grid in ((2.0,), (1.0, 1.5, 2.0, 2.5, 3.0)):
+            g = CountingNegLog()
+            lehmann_grid_check(EXP, 2.0, grid, e, g, orientation, 5, self.M, seed=5)
+            points.append(g.points)
+        assert points[0] == points[1]
+        assert points[0]["value"] == self.M
+
+
+def _ref_moments(values, higher=False) -> Moments:
+    """Moments.of as first written, with a fresh array for every step."""
+    v = np.asarray(values, dtype=float)
+    if v.size == 0:
+        return Moments()
+    s = v - v[0]
+    shift = float(np.mean(s))
+    d = s - shift
+    d2 = d * d
+    m3, m4 = (float(np.sum(d2 * d)), float(np.sum(d2 * d2))) if higher else (np.nan,) * 2
+    return Moments(v.size, float(v[0]) + shift, float(np.sum(d2)), m3, m4)
+
+
+def _ref_loss(g, orientation, est, y):
+    return bregman_div(g, y, est) if orientation == "left" else bregman_div(g, est, y)
+
+
+def _ref_info(g, orientation, est) -> BregmanInfo:
+    """BregmanInfo of est with every divergence through bregman_div."""
+    if est.size == 0:
+        return BregmanInfo(g, orientation)
+    if orientation == "left":
+        mean = float(np.mean(g.gradient(est)))
+        center = float(g.invert_gradient(mean))
+    else:
+        mean = center = float(np.mean(est))
+    v = float(np.sum(_ref_loss(g, orientation, est, center)))
+    return BregmanInfo(g, orientation, est.size, mean, center, v)
+
+
+class TestBitwiseReference:
+    """Every report type equals, bitwise, a chunk reduction built on bregman_div.
+
+    The reference masks with a copy, evaluates each divergence with
+    bregman_div and each moment on fresh arrays, and merges through the same
+    stream, so any float the compute-once kernel moved shows here.
+    """
+
+    ROWS, THETA, N, SEED = CHUNK_ROWS + 1000, 2.0, 4, 41
+    GRID = (1.5, 2.0, 2.5)
+    ESTIMATORS = {
+        # drops through NaN and through values outside neglog's domain: the copy path
+        "dropping": Estimator("dropping", lambda x: np.where(
+            x[..., 0] < 0.02, np.nan, np.where(x[..., 1] > 7.0, -1.0, x[..., 2])
+        )),
+        # drops nothing and returns a view of the draw buffer: the no-copy path
+        "view": Estimator("view", lambda x: x[..., 0]),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("orientation", ["left", "right"])
+    @pytest.mark.parametrize("name", sorted(ESTIMATORS))
+    def test_risk_lehmann_compare(self, name, orientation, workers):
+        e, g = self.ESTIMATORS[name], NEGLOG
+        run = (self.ROWS, self.SEED, workers)
+        stream = (EXP, self.THETA, self.N, [e], *run)
+
+        def risk_reduce(est):
+            vals = est[e.id]
+            vals = vals[g.domain.mask(vals)]
+            loss = _ref_moments(_ref_loss(g, orientation, vals, self.THETA), higher=True)
+            return loss, _ref_info(g, orientation, vals)
+
+        losses, info = _stream(*stream, risk_reduce)
+        rep = estimate_risk(EXP, self.THETA, self.N, e, g, orientation, *run)
+        a, b = (self.THETA, info.center) if orientation == "left" else (info.center, self.THETA)
+        assert (rep.risk, rep.se_risk, rep.loss_excess_kurtosis) == (
+            losses.mean, losses.se, losses.excess_kurtosis
+        )
+        assert (rep.center, rep.variance_term) == (info.center, info.v / info.k)
+        assert rep.bias_term == float(bregman_div(g, a, b))
+        assert rep.dropped == self.ROWS - losses.k
+        assert (rep.dropped > 0) == (name == "dropping")
+
+        def grid_reduce(est):
+            vals = est[e.id]
+            vals = vals[g.domain.mask(vals)]
+            return [_ref_moments(_ref_loss(g, orientation, vals, v)) for v in self.GRID]
+
+        parts = _stream(*stream, grid_reduce)
+        rep = lehmann_grid_check(EXP, self.THETA, self.GRID, e, g, orientation, self.N, *run)
+        assert rep.means == tuple(m.mean for m in parts)
+        assert rep.ses == tuple(m.se for m in parts)
+        assert rep.dropped == self.ROWS - parts[0].k
+
+        other = EXP.classical_umvue
+
+        def pair_reduce(est):
+            x1, x2 = est[e.id], est[other.id]
+            keep = g.domain.mask(x1) & g.domain.mask(x2)
+            l1 = _ref_loss(g, orientation, x1[keep], self.THETA)
+            l2 = _ref_loss(g, orientation, x2[keep], self.THETA)
+            return _ref_moments(l1), _ref_moments(l2), _ref_moments(l1 - l2)
+
+        m1, m2, diff = _stream(
+            EXP, self.THETA, self.N, [e, other], self.ROWS, self.SEED, workers, pair_reduce
+        )
+        rep = compare_estimators(EXP, self.THETA, self.N, (e, other), g, orientation, *run)
+        assert (rep.risk_1, rep.risk_2, rep.risk_diff, rep.se_diff) == (
+            m1.mean, m2.mean, diff.mean, diff.se
+        )
+        assert rep.dropped == self.ROWS - diff.k
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", sorted(ESTIMATORS))
+    def test_unbiasedness_checks(self, name, workers):
+        e, g = self.ESTIMATORS[name], NEGLOG
+        thetas = (1.0, 2.0)
+        type1 = check_type1_unbiased(EXP, thetas, e, g, self.N, self.ROWS, self.SEED, workers)
+        type2 = check_type2_unbiased(EXP, thetas, e, self.N, self.ROWS, self.SEED, workers)
+
+        def dual_reduce(est):
+            vals = est[e.id]
+            return [_ref_moments(g.gradient(vals[g.domain.mask(vals)]))]
+
+        def finite_reduce(est):
+            vals = est[e.id]
+            return [_ref_moments(vals[np.isfinite(vals)])]
+
+        for i, theta in enumerate(thetas):
+            key = derive_key(self.SEED, i)
+            for rep, reduce in ((type1[i], dual_reduce), (type2[i], finite_reduce)):
+                (m,) = _stream(EXP, theta, self.N, [e], self.ROWS, key, workers, reduce)
+                assert (rep.mean, rep.se, rep.dropped) == (m.mean, m.se, self.ROWS - m.k)
+
+
+# The traced peak of estimate_risk(exp, theta 2, n 5, type-I UMVUE, neglog, 4 chunks,
+# one worker) before the kernel computed phi and grad phi once: the (CHUNK_ROWS, 5)
+# draw buffer plus seven chunk-length arrays, 6.01 MiB in either orientation.
+PARENT_RISK_PEAK = 6.01 * 2**20
+
+
+@pytest.mark.parametrize("orientation", ["left", "right"])
+def test_risk_peak_memory_not_above_parent(orientation):
+    e = build_type1_umvue(EXP, NEGLOG)
+    estimate_risk(EXP, 2.0, 5, e, NEGLOG, orientation, 2 * CHUNK_ROWS, seed=3)  # warm up
+    tracemalloc.start()
+    try:
+        estimate_risk(EXP, 2.0, 5, e, NEGLOG, orientation, 4 * CHUNK_ROWS, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= PARENT_RISK_PEAK
