@@ -203,6 +203,14 @@ def cmd_divergence(args) -> int:
     return 0
 
 
+def _validity_exit(reports) -> int:
+    """1, with a note on stderr, when any report is flagged invalid; else 0."""
+    if all(r.valid for r in reports):
+        return 0
+    print("report INVALID: dropped replicates exceed the 0.1 percent budget", file=sys.stderr)
+    return 1
+
+
 def cmd_risk(args) -> int:
     cfg = _resolve(
         args,
@@ -231,10 +239,7 @@ def cmd_risk(args) -> int:
         f"dropped = {report.dropped}"
     )
     _emit([report], cfg)
-    if not report.valid:
-        print("report INVALID: dropped replicates exceed the 0.1 percent budget", file=sys.stderr)
-        return 1
-    return 0
+    return _validity_exit([report])
 
 
 def _verdict_word(v: bool) -> str:
@@ -301,7 +306,7 @@ def cmd_check(args) -> int:
                 f"z = {r.z:.3f} -> {_verdict_word(r.verdict)}"
             )
     _emit(reports, cfg)
-    return 0
+    return _validity_exit(reports)
 
 
 def cmd_compare(args) -> int:
@@ -322,7 +327,9 @@ def cmd_compare(args) -> int:
     model = resolve_model(cfg["model"])
     g = resolve_generator(cfg["gen"], dim=1)
     e1 = resolve_estimator(cfg["e1"], model, g)
-    e2 = resolve_estimator(cfg["e2"], model, g)
+    # one spec in both arms is one estimator: resolving it twice would give
+    # two distinct objects under one id
+    e2 = e1 if cfg["e2"] == cfg["e1"] else resolve_estimator(cfg["e2"], model, g)
     report = compare_estimators(
         model, cfg["theta"], cfg["n"], (e1, e2), g, cfg["orientation"],
         cfg["replicates"], cfg["seed"], cfg["workers"],
@@ -334,7 +341,7 @@ def cmd_compare(args) -> int:
         f"diff = {report.risk_diff!r}  paired se = {report.se_diff!r}"
     )
     _emit([report], cfg)
-    return 0
+    return _validity_exit([report])
 
 
 def cmd_oracle(args) -> int:

@@ -11,6 +11,10 @@ the inverse and conjugate stay available when closed forms are disabled.
 Shape conventions: a generator of dimension d > 1 treats the last axis of an
 array as the coordinate axis.  A generator of dimension 1 is elementwise,
 so arrays of any shape are batches of scalar points.
+
+Only the quadratic (Mahalanobis) generator uses scipy: it imports
+``scipy.linalg`` where it factors and solves with its matrix, so a process
+that builds no such generator never loads it.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigError, DomainError, NumericError, RangeError, UnsupportedError
 
@@ -186,6 +189,8 @@ class QuadraticGenerator(Generator):
             raise ConfigError("matrix has non-finite entries")
         if not np.allclose(a, a.T, rtol=1e-12, atol=1e-12):
             raise ConfigError("matrix is not symmetric")
+        import scipy.linalg
+
         try:
             cho = scipy.linalg.cho_factor(a, lower=True)
         except scipy.linalg.LinAlgError as exc:
@@ -213,6 +218,8 @@ class QuadraticGenerator(Generator):
         return _ensure_finite(out, "gradient")
 
     def _solve(self, arr):
+        import scipy.linalg
+
         v, lifted = self._lift(arr)
         flat = v.reshape(-1, self.matrix.shape[0])
         sol = scipy.linalg.cho_solve(self._cho, flat.T).T.reshape(v.shape)

@@ -11,6 +11,10 @@ drawn into a caller's buffer when one is given: the uniforms fill it and
 each family's transform runs in place on them, so a chunk allocates no
 array.  ``Model.draw`` passes the rows of its result; the risk lab passes
 one buffer per worker thread.
+
+scipy is imported only where it is used: the normal and lognormal transforms
+import ``scipy.special.ndtri`` on each call, so the first Gaussian draw of a
+process pays for loading it and exponential draws never do.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ConfigError
 from .estimators import Estimator, _row_sum
@@ -171,6 +174,8 @@ class NormalModel(Model):
         self._sigma = float(np.sqrt(sigma2))
 
     def _transform(self, u, theta):
+        from scipy.special import ndtri
+
         # theta + sigma * ndtri(u)
         ndtri(u, out=u)
         u *= self._sigma
@@ -197,6 +202,8 @@ class LogNormalModel(Model):
         self._sigma = float(np.sqrt(sigma2))
 
     def _transform(self, u, theta):
+        from scipy.special import ndtri
+
         # theta * exp(sigma * ndtri(u))
         ndtri(u, out=u)
         u *= self._sigma

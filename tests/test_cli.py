@@ -148,6 +148,84 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert proc.returncode == 0
 
 
+_PROBE = """
+import json, sys
+import breglab
+from breglab.cli import main
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+
+before = scipy_modules()
+result = {call}
+print(json.dumps([result, before, scipy_modules()]))
+"""
+
+
+def fresh(call: str):
+    """(value, scipy modules after the import, scipy modules at the end) of call in a new interpreter.
+
+    call is a Python expression; the probe has imported breglab and
+    breglab.cli.main before it runs.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(breglab.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE.format(call=call)],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    value, before, after = json.loads(proc.stdout.splitlines()[-1])
+    return value, set(before), set(after)
+
+
+class TestImportFootprint:
+    """Which commands load scipy at all: only normal draws and Mahalanobis generators need it."""
+
+    RISK = ("--estimator", "classical", "--theta", "2.0", "--n", "3", "-M", "2000")
+
+    def test_import_and_help_load_no_scipy(self):
+        code, before, after = fresh("main(['--help'])")
+        assert code == 0
+        assert before == set() and after == set()
+
+    @pytest.mark.parametrize("argv", [
+        ["divergence", "--gen", "neglog", "--x", "2", "--y", "1"],
+        ["risk", "--model", "exp", "--gen", "neglog", *RISK],
+        ["oracle", "--m", "3", "--n", "3", "--gen", "negentropy", "--estimator", "first-k:1",
+         "--theta", "0.5,1.0"],
+    ], ids=["divergence", "risk-exp", "oracle"])
+    def test_scipy_free_commands_load_no_scipy(self, argv):
+        code, _, after = fresh(f"main({argv!r})")
+        assert code == 0 and after == set()
+
+    @pytest.mark.parametrize("model, gen", [("normal", "sqeuclid"), ("lognormal", "negentropy")])
+    def test_gaussian_draws_load_scipy_special_only(self, model, gen):
+        code, before, after = fresh(f"main({['risk', '--model', model, '--gen', gen, *self.RISK]!r})")
+        assert code == 0
+        assert "scipy.special" not in before and "scipy.special" in after
+        assert "scipy.linalg" not in after
+
+    def test_mahalanobis_loads_scipy_linalg(self):
+        dim, before, after = fresh("breglab.mahalanobis([[1.5]]).dimension")
+        assert dim == 1
+        assert "scipy.linalg" not in before and "scipy.linalg" in after
+
+    def test_first_draw_inside_worker_pool_is_worker_invariant(self, capsys, tmp_path):
+        # the lognormal transform's first scipy.special import happens on the
+        # pool's threads at once; the report must not depend on who won
+        argv = ["risk", "--model", "lognormal", "--gen", "negentropy", "--estimator", "type1",
+                "--theta", "2.0", "--n", "3", "-M", "200000", "--seed", "7"]
+        pooled, ref = tmp_path / "w2.json", tmp_path / "w1.json"
+        code, before, _ = fresh(f"main({[*argv, '--workers', '2', '--out', str(pooled)]!r})")
+        assert code == 0 and "scipy.special" not in before
+        code, _, _ = run(capsys, *argv, "--workers", "1", "--out", str(ref))
+        assert code == 0
+        assert pooled.read_bytes() == ref.read_bytes()
+
+
 class TestConfigFiles:
     def test_config_file_supplies_missing_flags(self, capsys, tmp_path):
         cfgfile = tmp_path / "cfg.json"
@@ -215,6 +293,20 @@ class TestCheckCommand:
         )
         assert code == 2
 
+    # the mean of two normal draws at theta = 0.3 is negative a third of the
+    # time, outside neglog's domain: far more than the 0.1 percent drop budget
+    INVALID = ("--model", "normal", "--gen", "neglog", "--estimator", "classical",
+               "--theta", "0.3", "--n", "2", "-M", "2000")
+
+    @pytest.mark.parametrize("kind", [("--kind", "type1"), ("--kind", "lehmann", "--grid", "0.3,0.5")],
+                             ids=["type1", "lehmann"])
+    def test_invalid_report_exit_1_after_out(self, capsys, tmp_path, kind):
+        path = tmp_path / "chk.json"
+        code, _, err = run(capsys, "check", *kind, *self.INVALID, "--out", str(path))
+        assert code == 1 and "report INVALID" in err
+        (report,) = json.loads(path.read_text())["reports"]
+        assert report["valid"] is False and report["dropped"] > 2
+
 
 class TestCompareCommand:
     def test_paired_comparison(self, capsys, tmp_path):
@@ -227,6 +319,26 @@ class TestCompareCommand:
         assert code == 0
         (report,) = json.loads(path.read_text())["reports"]
         assert report["risk_diff"] < 0.0
+
+    def test_invalid_report_exit_1_after_out(self, capsys, tmp_path):
+        path = tmp_path / "cmp.json"
+        code, _, err = run(
+            capsys, "compare", "--model", "normal", "--gen", "neglog", "--e1", "classical",
+            "--e2", "first-k:1", "--theta", "0.3", "--n", "2", "-M", "2000", "--out", str(path),
+        )
+        assert code == 1 and "report INVALID" in err
+        (report,) = json.loads(path.read_text())["reports"]
+        assert report["valid"] is False and report["dropped"] > 2
+
+    def test_same_spec_in_both_arms_ties_exactly(self, capsys, tmp_path):
+        path = tmp_path / "cmp.json"
+        code, _, _ = run(
+            capsys, "compare", "--model", "exp", "--gen", "neglog", "--e1", "type1",
+            "--e2", "type1", "--theta", "2", "--n", "5", "-M", "2000", "--out", str(path),
+        )
+        assert code == 0
+        (report,) = json.loads(path.read_text())["reports"]
+        assert report["risk_diff"] == 0.0 and report["se_diff"] == 0.0
 
 
 class TestOracleCommand:
