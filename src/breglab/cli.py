@@ -296,14 +296,17 @@ def cmd_check(args) -> int:
         raise ConfigError(f"unknown check kind {kind!r}")
     _echo_config(cfg)
     for r in reports:
+        # an invalid report dropped too many replicates to carry a verdict
         if kind == "lehmann":
             best = r.grid[r.argmin_index]
             hit = "argmin at theta" if r.argmin_index == r.theta_index else "argmin off theta"
+            hit = hit if r.valid else "INVALID"
             print(f"lehmann: argmin {best!r} ({hit}), means = {list(r.means)!r}")
         else:
+            word = _verdict_word(r.verdict) if r.valid else "INVALID"
             print(
                 f"{r.kind} theta = {r.theta!r}: mean = {r.mean!r} target = {r.target!r} "
-                f"z = {r.z:.3f} -> {_verdict_word(r.verdict)}"
+                f"z = {r.z:.3f} -> {word}"
             )
     _emit(reports, cfg)
     return _validity_exit(reports)

@@ -1,11 +1,21 @@
 """Exact risk computation on small finite-support models.
 
-Expectations here are full enumerations of the outcome space, so they act as
-an oracle for the Monte Carlo lab: decomposition identities must close to
-1e-12 and symmetrization must never increase risk.  The outcome space is
-enumerated once in lexicographic support order; expectations sum one block
-per leading coordinate and combine blocks with the fixed-shape pairwise
-tree, so threaded and serial results agree bitwise.
+Expectations here are exact sums over the enumerated outcome space, so they
+act as an oracle for the Monte Carlo lab: decomposition identities must close
+to 1e-12 and symmetrization must never increase risk.  The outcome space is
+enumerated once per model in lexicographic support order.  exact_expectation
+sums one block per leading coordinate and combines blocks with the
+fixed-shape pairwise tree, so threaded and serial results agree bitwise.
+
+The checks sum over laws instead of outcomes.  An estimate takes few distinct
+values ("atoms") over the m^n outcomes, so each check pushes the outcome
+weights forward onto them: the atoms are kept in ascending order with their
+outcome indices ordered by (value, outcome index) and segment starts, and at
+each theta an atom's probability is the pairwise sum np.add.reduceat of its
+segment of gathered weights.  phi, grad phi and every divergence are then
+evaluated once per atom, and an expectation is np.sum(p * f(atoms)).  The
+domain of the estimate is still checked on the full outcome array, so error
+messages name outcome indices.
 
 The exact Rao-Blackwell step conditions on the multiset of observations (the
 order statistic, sufficient under i.i.d. sampling).  Every ordering of a
@@ -16,21 +26,18 @@ O(m^n * n) cost with no limit on n beyond the m^n outcome budget.  Classes
 are numbered in lexicographic order of their sorted support indices and
 labelled without sorting any outcome row: a transition table maps (class of
 a length-k prefix, next symbol) to the class of the length-(k+1) prefix, and
-gathering it k = 1..n times labels the outcomes in enumeration order.
-
-Each check does its per-outcome work once per call: it evaluates e.fn on the
-outcome array and checks the estimates' domain once, takes phi and grad phi
-of each outcome array once and reuses them in every divergence against that
-array, and verify_rb_inequality reads the Rao-Blackwell class table directly
-instead of looking every outcome up through the returned estimator.  Nothing
-is cached across calls.
+gathering it k = 1..n times labels the outcomes in enumeration order.  The
+labels and class sizes depend on (m, n) only and are cached read-only for a
+few recent (m, n); the outcome arrays of a model are cached on the model.
+Rao-Blackwell values are inverted once per class and their risk is summed
+over their own law.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -86,7 +93,19 @@ class DiscreteModel:
 
     @cached_property
     def outcome_values(self) -> np.ndarray:
-        return np.asarray(self.support)[self.outcome_index]
+        """(m^n, n) support values in outcome_index order, stored column-major.
+
+        Column j repeats each support value m^(n-1-j) times, m^j times over.
+        Each coordinate is contiguous, so an estimator that reduces over the
+        n observations of every outcome (a mean, a sum, a leading coordinate)
+        runs as n vectorised column passes instead of m^n short rows.  For
+        n < 8 numpy sums such a reduction in the same order either way.
+        """
+        m, n = self.m, self.n
+        cols = np.empty((n, m**n))
+        for j in range(n):
+            cols[j].reshape(m**j, m, m ** (n - 1 - j))[...] = np.asarray(self.support)[:, None]
+        return cols.T
 
     def _check_theta(self, theta) -> float:
         theta = float(theta)
@@ -153,6 +172,88 @@ def exact_expectation(dm: DiscreteModel, theta, fn, workers: int = 1):
     return _expect(dm, dm.outcome_weights(theta), values, workers)
 
 
+@dataclass(frozen=True)
+class _Law:
+    """Distinct values ("atoms") of a per-outcome array and the outcomes taking each.
+
+    atoms ascend; order lists the outcome indices by (value, outcome index),
+    as a stable argsort of the array does, and starts marks where each atom's
+    run of outcomes begins in order.
+    """
+
+    atoms: np.ndarray
+    order: np.ndarray
+    starts: np.ndarray
+
+    def spread(self, per_atom: np.ndarray) -> np.ndarray:
+        """Per-atom values placed on every outcome, in outcome order."""
+        out = np.empty(len(self.order))
+        out[self.order] = np.repeat(per_atom, np.diff(self.starts, append=len(self.order)))
+        return out
+
+    def probabilities(self, w: np.ndarray) -> np.ndarray:
+        """Atom probabilities under outcome weights w: one pairwise sum per atom."""
+        return np.add.reduceat(w[self.order], self.starts)
+
+
+def _law(values: np.ndarray) -> _Law:
+    """Push the outcomes forward onto the distinct values of a 1-D per-outcome array.
+
+    Both ways give the same law.  Values in long ascending runs, such as an
+    estimate of the leading coordinates, merge-sort fastest with a stable
+    argsort.  Others, such as a mean of all n coordinates, group faster with
+    numpy's default sort, after which _law_of_labels puts each group into
+    outcome order.
+    """
+    if np.count_nonzero(values[1:] < values[:-1]) * 64 < len(values):
+        order = np.argsort(values, kind="stable")
+        ranked = values[order]
+        starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+        return _Law(ranked[starts], order, starts)
+    order = np.argsort(values)
+    ranked = values[order]
+    new = np.concatenate(([True], ranked[1:] != ranked[:-1]))
+    labels = np.empty(len(values), dtype=np.intp)
+    labels[order] = np.cumsum(new) - 1
+    law = _law_of_labels(ranked[new], labels)
+    # a tie of -0.0 and 0.0 keeps the sign of its first outcome, as above
+    return _Law(values[law.order[law.starts]], law.order, law.starts)
+
+
+def _law_of_labels(atoms: np.ndarray, labels: np.ndarray) -> _Law:
+    """_law(atoms[labels]) for ascending distinct atoms that all occur in it.
+
+    Ordering by label is ordering by value, so a stable sort of the labels
+    gives the same grouping; in an unsigned dtype of at most 16 bits numpy
+    radix-sorts them.
+    """
+    narrow = labels.astype(np.min_scalar_type(len(atoms) - 1), copy=False)
+    sizes = np.bincount(narrow, minlength=len(atoms))
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    return _Law(atoms, np.argsort(narrow, kind="stable"), starts)
+
+
+def _mean(p: np.ndarray, values) -> float:
+    """Expectation of per-atom values under atom probabilities p."""
+    return float(np.sum(p * values))
+
+
+def _estimates(dm: DiscreteModel, e: Estimator) -> np.ndarray:
+    """e on every outcome row, one float per outcome, contiguous.
+
+    An estimator may return a strided view; sorting and checking a
+    contiguous copy is several times faster than the view.
+    """
+    values = np.ascontiguousarray(e.fn(dm.outcome_values), dtype=float)
+    if values.shape != (dm.outcome_count,):
+        raise ConfigError(
+            f"estimator {e.id!r} must give one value per outcome, shape "
+            f"({dm.outcome_count},), got {values.shape}"
+        )
+    return values
+
+
+@lru_cache(maxsize=4)
 def _multiset_classes(m: int, n: int):
     """Multiset class of every outcome row, in outcome_index order, and class sizes.
 
@@ -161,7 +262,8 @@ def _multiset_classes(m: int, n: int):
     sorted representative of each class of length k; adding symbol s to it
     and re-sorting gives the class of length k + 1 that table[c, s] names.
     Outcome rows enumerate prefixes first-coordinate slowest, so the labels
-    of the length-(k+1) prefixes are table[labels].ravel().
+    of the length-(k+1) prefixes are table[labels].ravel().  Both arrays are
+    cached per (m, n) and read-only.
     """
     reps = np.zeros((1, 0), dtype=np.int64)
     labels = np.zeros(1, dtype=np.int64)
@@ -173,18 +275,31 @@ def _multiset_classes(m: int, n: int):
         _, first, table = np.unique(keys, return_index=True, return_inverse=True)
         reps = grown[first]
         labels = table.reshape(-1, m)[labels].ravel()
-    return labels, np.bincount(labels)
+    counts = np.bincount(labels)
+    labels.setflags(write=False)
+    counts.setflags(write=False)
+    return labels, counts
 
 
-def _rb_table(dm: DiscreteModel, g: Generator, duals: np.ndarray) -> np.ndarray:
-    """Rao-Blackwell value of every outcome from its dual value grad phi(e(x)).
+def _rb_classes(dm: DiscreteModel, g: Generator, duals: np.ndarray) -> np.ndarray:
+    """Rao-Blackwell value of every multiset class from the outcomes' dual values.
 
-    Dual values are averaged per multiset class and mapped back through the
-    inverse gradient once per class.
+    Dual values are averaged per class and mapped back through the inverse
+    gradient once per class.
     """
     cls, counts = _multiset_classes(dm.m, dm.n)
-    class_duals = np.bincount(cls, weights=duals) / counts
-    return np.asarray(g.invert_gradient(class_duals), dtype=float)[cls]
+    return np.asarray(g.invert_gradient(np.bincount(cls, weights=duals) / counts), dtype=float)
+
+
+def _rb_duals(g: Generator, base: np.ndarray):
+    """Law of the estimates, grad phi at its atoms, and the dual value of every outcome.
+
+    The domain is checked on the full array, so its errors name outcome indices.
+    """
+    g.domain.check(base, "x")
+    law = _law(base)
+    grad = np.asarray(g.gradient(law.atoms), dtype=float)
+    return law, grad, law.spread(grad)
 
 
 def _rb_id(g: Generator, e: Estimator) -> str:
@@ -197,15 +312,16 @@ def exact_rao_blackwell(dm: DiscreteModel, g: Generator, e: Estimator) -> Estima
     Under i.i.d. sampling every ordering of a multiset is equally likely, so
     the mean of grad phi(e) over the n! permutations of an outcome equals its
     mean over the outcome's multiset class.  Dual values are computed once per
-    outcome, averaged per class, and mapped back through the inverse gradient
-    once per class.  The result equals symmetrize(g, e, EXACT) on the support
-    up to summation order, without symmetrize's n <= 8 limit.
+    distinct estimate, averaged per class, and mapped back through the inverse
+    gradient once per class.  The result equals symmetrize(g, e, EXACT) on the
+    support up to summation order, without symmetrize's n <= 8 limit.
 
     The returned estimator reads a table and accepts only samples of length
     dm.n drawn from dm.support; any other value raises DomainError.
     """
     m, n = dm.m, dm.n
-    table = _rb_table(dm, g, np.asarray(g.gradient(e.fn(dm.outcome_values)), dtype=float))
+    _, _, duals = _rb_duals(g, _estimates(dm, e))
+    table = _rb_classes(dm, g, duals)[_multiset_classes(m, n)[0]]
     place = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
     support = np.asarray(dm.support)
 
@@ -257,22 +373,29 @@ def verify_rb_inequality(dm: DiscreteModel, g: Generator, e: Estimator, theta_gr
     also states whether e was already permutation-invariant, in which case
     the gap is zero rather than strictly positive.
 
-    e.fn runs once; its dual image feeds the class table that
-    exact_rao_blackwell's estimator reads, so rb is that estimator's value
-    on every outcome.  phi and grad phi of both arrays serve every theta.
+    e.fn runs once.  grad phi of its distinct values feeds the class table
+    that exact_rao_blackwell's estimator reads, so rb is that estimator's
+    value on every outcome.  Each risk is summed over the law of its
+    estimator's values, with phi and grad phi taken once per atom for every
+    theta.
     """
-    base = np.asarray(e.fn(dm.outcome_values), dtype=float)
-    grad_base = np.asarray(g.gradient(base), dtype=float)
-    rb = _rb_table(dm, g, grad_base)
-    scale = 1.0 + float(np.max(np.abs(base)))
-    invariant = bool(np.max(np.abs(rb - base)) <= _INVARIANCE_TOL * scale)
-    phi_base, phi_rb, grad_rb = g.value(base), g.value(rb), g.gradient(rb)
+    base = _estimates(dm, e)
+    law, grad_base, duals = _rb_duals(g, base)
+    cls, _ = _multiset_classes(dm.m, dm.n)
+    rb_classes = _rb_classes(dm, g, duals)
+    rb_atoms, rb_of_class = np.unique(rb_classes, return_inverse=True)
+    rb_law = _law_of_labels(rb_atoms, rb_of_class[cls])
+    scale = 1.0 + float(np.max(np.abs(law.atoms)))
+    invariant = bool(np.max(np.abs(rb_classes[cls] - base)) <= _INVARIANCE_TOL * scale)
+    phi_base, phi_rb, grad_rb = g.value(law.atoms), g.value(rb_atoms), g.gradient(rb_atoms)
     rows = []
     for theta in map(float, theta_grid):
         w = dm.outcome_weights(theta)
         phi_t = g.value(theta)
-        risk_base = _expect(dm, w, _div(g, theta, base, phi_t - phi_base, grad_base))
-        risk_rb = _expect(dm, w, _div(g, theta, rb, phi_t - phi_rb, grad_rb))
+        risk_base = _mean(
+            law.probabilities(w), _div(g, theta, law.atoms, phi_t - phi_base, grad_base)
+        )
+        risk_rb = _mean(rb_law.probabilities(w), _div(g, theta, rb_atoms, phi_t - phi_rb, grad_rb))
         rows.append(RBRow(theta, risk_base, risk_rb, risk_base - risk_rb))
     min_gap = min(r.gap for r in rows)
     return RBInequalityReport(
@@ -318,32 +441,34 @@ def verify_decompositions_grid(
 ) -> list[DecompositionCheck]:
     """Exact risk = bias + variance in both orientations at each theta, residuals to 1e-12.
 
-    e.fn runs once per call, its estimates' domain is checked once, and phi
-    and grad phi of them serve all four divergences against them at every
-    theta.  Each check equals verify_decompositions at its theta bitwise.
+    e.fn runs once per call and its estimates' domain is checked once on the
+    full outcome array.  Every expectation is a sum over the law of the
+    estimates, so phi, grad phi and the four divergences are evaluated once
+    per distinct estimate.  Each check equals verify_decompositions at its
+    theta bitwise.
     """
-    delta = np.asarray(e.fn(dm.outcome_values), dtype=float)
+    delta = _estimates(dm, e)
     g.domain.check(delta, "estimate")
-    grad_d = np.asarray(g.gradient(delta))
-    phi_d = g.value(delta)
+    law = _law(delta)
+    atoms = law.atoms
+    grad_d = np.asarray(g.gradient(atoms))
+    phi_d = g.value(atoms)
     checks = []
     for theta in map(float, theta_grid):
-        w = dm.outcome_weights(theta)
-        center_left = float(g.invert_gradient(_expect(dm, w, grad_d)))
+        p = law.probabilities(dm.outcome_weights(theta))
+        center_left = float(g.invert_gradient(_mean(p, grad_d)))
         phi_t = g.value(theta)
 
-        risk_left = _expect(dm, w, _div(g, theta, delta, phi_t - phi_d, grad_d))
+        risk_left = _mean(p, _div(g, theta, atoms, phi_t - phi_d, grad_d))
         bias_left = float(bregman_div(g, theta, center_left))
-        var_left = _expect(
-            dm, w, _div(g, center_left, delta, g.value(center_left) - phi_d, grad_d)
-        )
+        var_left = _mean(p, _div(g, center_left, atoms, g.value(center_left) - phi_d, grad_d))
         residual_left = abs(risk_left - bias_left - var_left)
 
-        center_right = _expect(dm, w, delta)
-        risk_right = _expect(dm, w, _div(g, delta, theta, phi_d - phi_t, g.gradient(theta)))
+        center_right = _mean(p, atoms)
+        risk_right = _mean(p, _div(g, atoms, theta, phi_d - phi_t, g.gradient(theta)))
         bias_right = float(bregman_div(g, center_right, theta))
         phi_c, grad_c = g.value(center_right), g.gradient(center_right)
-        var_right = _expect(dm, w, _div(g, delta, center_right, phi_d - phi_c, grad_c))
+        var_right = _mean(p, _div(g, atoms, center_right, phi_d - phi_c, grad_c))
         residual_right = abs(risk_right - bias_right - var_right)
 
         checks.append(
@@ -361,7 +486,7 @@ def verify_decompositions_grid(
                 risk_right=risk_right,
                 bias_right=bias_right,
                 variance_right=var_right,
-                center_right=float(center_right),
+                center_right=center_right,
                 residual_right=residual_right,
                 passed=bool(max(residual_left, residual_right) <= RESIDUAL_TOL),
             )

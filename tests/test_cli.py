@@ -302,10 +302,15 @@ class TestCheckCommand:
                              ids=["type1", "lehmann"])
     def test_invalid_report_exit_1_after_out(self, capsys, tmp_path, kind):
         path = tmp_path / "chk.json"
-        code, _, err = run(capsys, "check", *kind, *self.INVALID, "--out", str(path))
+        code, out, err = run(capsys, "check", *kind, *self.INVALID, "--out", str(path))
         assert code == 1 and "report INVALID" in err
         (report,) = json.loads(path.read_text())["reports"]
         assert report["valid"] is False and report["dropped"] > 2
+        # stdout gives no verdict on an invalid report
+        if kind[1] == "lehmann":
+            assert "(INVALID)" in out and "argmin at" not in out and "argmin off" not in out
+        else:
+            assert "-> INVALID" in out and "PASS" not in out and "FAIL" not in out
 
 
 class TestCompareCommand:

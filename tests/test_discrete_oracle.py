@@ -1,5 +1,7 @@
 """Exact enumeration oracle: expectations, decomposition closure, risk ordering."""
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -28,7 +30,8 @@ from breglab import (
     verify_decompositions_grid,
     verify_rb_inequality,
 )
-from breglab.discrete_oracle import _expect, _multiset_classes
+from breglab.discrete_oracle import _law, _mean, _multiset_classes
+from breglab.generators import SeparableGenerator
 
 FIRST = Estimator("first", lambda x: x[..., 0])
 HEAD2 = Estimator("head2", lambda x: np.mean(x[..., :2], axis=-1))
@@ -64,6 +67,29 @@ def sorted_row_classes(m: int, n: int):
         np.sort(index, axis=1) @ place, return_inverse=True, return_counts=True
     )
     return index, labels, counts
+
+
+class CountingGenerator(SeparableGenerator):
+    """A builtin separable generator that counts the points of its array evaluations.
+
+    Scalar evaluations (theta, centres) are not counted.
+    """
+
+    def __init__(self, g):
+        super().__init__(g.id, g.domain, g.dual_domain, g._rule)
+        self.points = {"value": 0, "gradient": 0}
+
+    def _count(self, name, x):
+        if np.ndim(x) > 0:
+            self.points[name] += np.size(x)
+
+    def value(self, x):
+        self._count("value", x)
+        return super().value(x)
+
+    def gradient(self, x):
+        self._count("gradient", x)
+        return super().gradient(x)
 
 
 class TestDiscreteModel:
@@ -115,6 +141,18 @@ class TestDiscreteModel:
                 index = DiscreteModel(tuple(range(1, m + 1)), n).outcome_index
                 npt.assert_array_equal(index, ref)
                 assert index.dtype == ref.dtype and index.flags.c_contiguous
+
+    @pytest.mark.parametrize("m,n", [(1, 3), (2, 7), (3, 5), (10, 5), (2, 12)])
+    def test_outcome_values_column_major(self, m, n):
+        dm = DiscreteModel(tuple(0.5 + 0.7 * i for i in range(m)), n)
+        vals = dm.outcome_values
+        npt.assert_array_equal(vals, np.asarray(dm.support)[dm.outcome_index])
+        assert vals.flags.f_contiguous
+        if n < 8:
+            # row reductions give the same bits as on the row-major array
+            rows = np.ascontiguousarray(vals)
+            assert np.array_equal(np.mean(vals, axis=-1), np.mean(rows, axis=-1))
+            assert np.array_equal(np.mean(vals[..., :2], axis=-1), np.mean(rows[..., :2], axis=-1))
 
     def test_outcome_weights_sum_to_one(self):
         dm = DiscreteModel((1.0, 2.0, 3.0), 5)
@@ -331,7 +369,8 @@ class TestComputeOnce:
     )
     @pytest.mark.parametrize("e", [FIRST, HEAD2, MEAN], ids=lambda e: e.id)
     def test_rb_risk_is_risk_of_returned_estimator(self, g, e):
-        # bitwise: the check reads the same class table the estimator returns
+        # bitwise: the check reads the same class table the estimator returns,
+        # and sums each risk over the law of the estimator's values
         dm = DiscreteModel((0.5, 1.5, 2.5, 4.0), 4)
         rep = verify_rb_inequality(dm, g, e, self.THETAS)
         rb = exact_rao_blackwell(dm, g, e)
@@ -339,8 +378,10 @@ class TestComputeOnce:
         vals = dm.outcome_values
         for row in rep.rows:
             w = dm.outcome_weights(row.theta)
-            assert row.risk_rb == _expect(dm, w, bregman_div(g, row.theta, rb.fn(vals)))
-            assert row.risk_estimator == _expect(dm, w, bregman_div(g, row.theta, e.fn(vals)))
+            for risk, est in ((row.risk_rb, rb), (row.risk_estimator, e)):
+                law = _law(np.asarray(est.fn(vals), dtype=float))
+                ref = _mean(law.probabilities(w), bregman_div(g, row.theta, law.atoms))
+                assert risk == ref
 
     def test_theta_errors_unchanged(self):
         dm = DiscreteModel((1.0, 2.0), 2)
@@ -349,6 +390,121 @@ class TestComputeOnce:
             verify_rb_inequality(dm, negative_log(1), FIRST, (1.0, -1.0))
         with pytest.raises(DomainError, match=msg):
             verify_decompositions(dm, negative_log(1), FIRST, -1.0)
+
+
+EPS = np.finfo(float).eps
+
+
+def enumerated(w, per_outcome):
+    """math.fsum of w * f over the outcomes and the scale sum |w * f| of its bound."""
+    terms = w * np.asarray(per_outcome, dtype=float)
+    return math.fsum(terms), math.fsum(np.abs(terms))
+
+
+def assert_enumerated(got, w, per_outcome):
+    ref, scale = enumerated(w, per_outcome)
+    assert abs(got - ref) <= 8 * EPS * scale, (got, ref, scale)
+    return ref, scale
+
+
+class TestLaw:
+    """Sums over the law of an estimate against a full enumeration of its outcomes."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        support=st.lists(
+            st.floats(min_value=0.01, max_value=100.0), min_size=1, max_size=6, unique=True
+        ),
+        n=st.integers(min_value=1, max_value=4),
+        theta=st.floats(min_value=0.05, max_value=5.0),
+        g=st.sampled_from([squared_euclidean(1), negative_log(1), negative_entropy(1)]),
+        e=st.sampled_from([FIRST, HEAD2, MEAN, resolve_discrete_estimator("const:1.5")]),
+    )
+    def test_checks_match_enumeration(self, support, n, theta, g, e):
+        dm = DiscreteModel(tuple(support), n)
+        vals = dm.outcome_values
+        w = dm.outcome_weights(theta)
+        delta = np.asarray(e.fn(vals), dtype=float)
+        law = _law(delta)
+        p = law.probabilities(w)
+        assert np.array_equal(law.atoms, np.unique(delta))
+        assert np.array_equal(law.order, np.argsort(delta, kind="stable"))
+        for f in (lambda x: x, g.gradient, g.value, lambda x: bregman_div(g, theta, x)):
+            assert_enumerated(_mean(p, f(law.atoms)), w, f(delta))
+
+        (chk,) = verify_decompositions_grid(dm, g, e, [theta])
+        assert_enumerated(chk.center_right, w, delta)
+        risk_l = assert_enumerated(chk.risk_left, w, bregman_div(g, theta, delta))
+        var_l = assert_enumerated(chk.variance_left, w, bregman_div(g, chk.center_left, delta))
+        risk_r = assert_enumerated(chk.risk_right, w, bregman_div(g, delta, theta))
+        var_r = assert_enumerated(chk.variance_right, w, bregman_div(g, delta, chk.center_right))
+        # the biases are the same scalar divergences, so residuals differ from the
+        # enumerated ones by at most the risk and variance errors
+        for residual, bias, (risk, s1), (var, s2) in (
+            (chk.residual_left, chk.bias_left, risk_l, var_l),
+            (chk.residual_right, chk.bias_right, risk_r, var_r),
+        ):
+            assert abs(residual - abs(risk - bias - var)) <= 8 * EPS * (s1 + s2)
+
+        rep = verify_rb_inequality(dm, g, e, [theta])
+        rb = exact_rao_blackwell(dm, g, e).fn(vals)
+        (row,) = rep.rows
+        assert_enumerated(row.risk_estimator, w, bregman_div(g, theta, delta))
+        assert_enumerated(row.risk_rb, w, bregman_div(g, theta, rb))
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.repeat([-1.0, -0.0, 0.0, 2.0], 100),  # long ascending runs
+            np.tile([0.0, -0.0, 3.0, -1.0, -0.0], 80),  # no runs
+            np.array([2.0]),
+        ],
+        ids=["runs", "no-runs", "one"],
+    )
+    def test_law_is_stable_argsort_grouping(self, values):
+        law = _law(values)
+        order = np.argsort(values, kind="stable")
+        ranked = values[order]
+        starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+        assert np.array_equal(law.order, order) and np.array_equal(law.starts, starts)
+        # a -0.0 / 0.0 tie keeps the sign of its first outcome
+        assert np.array_equal(np.signbit(law.atoms), np.signbit(ranked[starts]))
+
+    @pytest.mark.parametrize("e", [FIRST, MEAN, resolve_discrete_estimator("const:2")],
+                             ids=lambda e: e.id)
+    def test_probabilities_are_pairwise_sums(self, e):
+        # 10^5 outcomes: summed one after another, an atom's probability would
+        # drift by about 1e-13 relative; pairwise sums stay within a few eps
+        dm = DiscreteModel(tuple(0.5 * i for i in range(1, 11)), 5)
+        w = dm.outcome_weights(0.7)
+        law = _law(np.asarray(e.fn(dm.outcome_values), dtype=float))
+        p = law.probabilities(w)
+        segments = np.split(w[law.order], law.starts[1:])
+        exact = np.array([math.fsum(seg) for seg in segments])
+        assert np.all(np.abs(p - exact) <= 4 * EPS * exact)
+
+    @pytest.mark.parametrize(
+        "g", [squared_euclidean(1), negative_log(1), negative_entropy(1)], ids=lambda g: g.id
+    )
+    def test_phi_and_gradient_see_atoms_and_classes_only(self, g):
+        # FIRST over (1, 2, 3)^4 takes 3 values on 81 outcomes in 15 multiset classes
+        dm = DiscreteModel((1.0, 2.0, 3.0), 4)
+        atoms, classes = 3, 15
+        counted = CountingGenerator(g)
+        verify_decompositions_grid(dm, counted, FIRST, (0.5, 1.0, 2.0))
+        assert counted.points == {"value": atoms, "gradient": atoms}
+        counted = CountingGenerator(g)
+        verify_rb_inequality(dm, counted, FIRST, (0.5, 1.0, 2.0))
+        for points in counted.points.values():
+            assert atoms < points <= atoms + classes
+
+    def test_multiset_classes_cached_read_only(self):
+        labels, counts = _multiset_classes(3, 4)
+        again = _multiset_classes(3, 4)
+        assert again[0] is labels and again[1] is counts
+        for arr in (labels, counts):
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
 
 class TestDecompositions:
