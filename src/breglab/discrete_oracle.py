@@ -3,7 +3,8 @@
 Expectations here are exact sums over the enumerated outcome space, so they
 act as an oracle for the Monte Carlo lab: decomposition identities must close
 to 1e-12 and symmetrization must never increase risk.  The outcome space is
-enumerated once per model in lexicographic support order.  exact_expectation
+enumerated in lexicographic support order, once for a few recent
+(support, n).  exact_expectation
 sums one block per leading coordinate and combines blocks with the
 fixed-shape pairwise tree, so threaded and serial results agree bitwise.
 
@@ -17,6 +18,16 @@ evaluated once per atom, and an expectation is np.sum(p * f(atoms)).  The
 domain of the estimate is still checked on the full outcome array, so error
 messages name outcome indices.
 
+Checks on one model share their sorting and weighing.  Every check still
+runs e.fn and its own domain check, but the model keeps a copy of the
+estimates of its last check and their law: estimates byte-identical to
+those reuse that law, so the Rao-Blackwell check, the decompositions at
+each theta and exact_rao_blackwell sort one estimator's values once between
+them.  A law keeps its atom probabilities per theta, and the Rao-Blackwell
+check weighs the outcomes once per theta for both of its laws.
+outcome_values is shared, read-only, by every model with the same
+(support, n).
+
 The exact Rao-Blackwell step conditions on the multiset of observations (the
 order statistic, sufficient under i.i.d. sampling).  Every ordering of a
 multiset is equally likely, so averaging the dual image over all n!
@@ -28,15 +39,15 @@ labelled without sorting any outcome row: a transition table maps (class of
 a length-k prefix, next symbol) to the class of the length-(k+1) prefix, and
 gathering it k = 1..n times labels the outcomes in enumeration order.  The
 labels and class sizes depend on (m, n) only and are cached read-only for a
-few recent (m, n); the outcome arrays of a model are cached on the model.
-Rao-Blackwell values are inverted once per class and their risk is summed
-over their own law.
+few recent (m, n).  Rao-Blackwell values are inverted once per class and
+their risk is summed over their own law.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -52,11 +63,17 @@ MAX_OUTCOMES = 2_000_000
 RESIDUAL_TOL = 1e-12
 RB_SLACK = 1e-12
 _INVARIANCE_TOL = 1e-10
+# atom probabilities one law keeps across calls, over all its thetas
+_CACHED_PROBABILITIES = 1 << 16
 
 
 @dataclass(frozen=True)
 class DiscreteModel:
-    """n i.i.d. draws from a finite positive support, pmf proportional to exp(-theta * v)."""
+    """n i.i.d. draws from a finite positive support, pmf proportional to exp(-theta * v).
+
+    The oracle checks keep the law of the model's last estimates on it
+    (_estimate_law).
+    """
 
     support: tuple
     n: int
@@ -65,7 +82,7 @@ class DiscreteModel:
         vals = tuple(float(v) for v in self.support)
         if len(vals) < 1:
             raise ConfigError("support must be non-empty")
-        if any(not np.isfinite(v) or v <= 0 for v in vals):
+        if any(not math.isfinite(v) or v <= 0 for v in vals):
             raise ConfigError("support values must be positive and finite")
         ordered = tuple(sorted(vals))
         if any(a == b for a, b in zip(ordered, ordered[1:])):
@@ -88,28 +105,30 @@ class DiscreteModel:
 
     @cached_property
     def outcome_index(self) -> np.ndarray:
-        """(m^n, n) support indices, lexicographic with the first coordinate slowest."""
-        return np.ascontiguousarray(np.indices((self.m,) * self.n).reshape(self.n, -1).T)
+        """(m^n, n) support indices, lexicographic with the first coordinate slowest.
 
-    @cached_property
+        C-contiguous intp, filled one column at a time like outcome_values.
+        """
+        out = np.empty((self.outcome_count, self.n), dtype=np.intp)
+        _fill_columns(out.T, np.arange(self.m, dtype=np.intp))
+        return out
+
+    @property
     def outcome_values(self) -> np.ndarray:
         """(m^n, n) support values in outcome_index order, stored column-major.
 
-        Column j repeats each support value m^(n-1-j) times, m^j times over.
         Each coordinate is contiguous, so an estimator that reduces over the
         n observations of every outcome (a mean, a sum, a leading coordinate)
         runs as n vectorised column passes instead of m^n short rows.  For
-        n < 8 numpy sums such a reduction in the same order either way.
+        n < 8 numpy sums such a reduction in the same order either way.  The
+        array is shared by every model with the same (support, n) and is
+        read-only.
         """
-        m, n = self.m, self.n
-        cols = np.empty((n, m**n))
-        for j in range(n):
-            cols[j].reshape(m**j, m, m ** (n - 1 - j))[...] = np.asarray(self.support)[:, None]
-        return cols.T
+        return _outcome_values(self.support, self.n)
 
     def _check_theta(self, theta) -> float:
         theta = float(theta)
-        if not (np.isfinite(theta) and theta > 0):
+        if not (math.isfinite(theta) and theta > 0):
             raise DomainError(f"theta = {theta} is outside open interval (0.0, inf)")
         return theta
 
@@ -130,6 +149,26 @@ class DiscreteModel:
         for _ in range(self.n - 1):
             w = np.multiply.outer(w, p)
         return w.ravel()
+
+
+def _fill_columns(cols: np.ndarray, symbols: np.ndarray) -> None:
+    """Write outcome_index order into cols, shape (n, m^n), one coordinate per row.
+
+    Coordinate j repeats each of the m symbols m^(n-1-j) times, m^j times over.
+    """
+    n, count = cols.shape
+    m = len(symbols)
+    for j in range(n):
+        cols[j].reshape(m**j, m, count // m ** (j + 1))[...] = symbols[:, None]
+
+
+@lru_cache(maxsize=4)
+def _outcome_values(support: tuple, n: int) -> np.ndarray:
+    """DiscreteModel.outcome_values, cached read-only per (support, n)."""
+    cols = np.empty((n, len(support) ** n))
+    _fill_columns(cols, np.asarray(support))
+    cols.setflags(write=False)
+    return cols.T
 
 
 def _expect(dm: DiscreteModel, w: np.ndarray, per_outcome: np.ndarray, workers: int = 1):
@@ -166,7 +205,9 @@ def exact_expectation(dm: DiscreteModel, theta, fn, workers: int = 1):
     """Exact expectation of fn over the enumerated outcome space.
 
     fn receives the full (m^n, n) outcome array and must return one value
-    (scalar or vector) per outcome row.
+    (scalar or vector) per outcome row.  That array is dm.outcome_values,
+    shared by every model with the same (support, n) and read-only: an fn
+    that writes into it raises ValueError instead of corrupting it.
     """
     values = np.asarray(fn(dm.outcome_values), dtype=float)
     return _expect(dm, dm.outcome_weights(theta), values, workers)
@@ -178,12 +219,14 @@ class _Law:
 
     atoms ascend; order lists the outcome indices by (value, outcome index),
     as a stable argsort of the array does, and starts marks where each atom's
-    run of outcomes begins in order.
+    run of outcomes begins in order.  by_theta keeps the atom probabilities
+    already computed at each theta.
     """
 
     atoms: np.ndarray
     order: np.ndarray
     starts: np.ndarray
+    by_theta: dict = field(default_factory=dict, compare=False, repr=False)
 
     def spread(self, per_atom: np.ndarray) -> np.ndarray:
         """Per-atom values placed on every outcome, in outcome order."""
@@ -194,6 +237,21 @@ class _Law:
     def probabilities(self, w: np.ndarray) -> np.ndarray:
         """Atom probabilities under outcome weights w: one pairwise sum per atom."""
         return np.add.reduceat(w[self.order], self.starts)
+
+    def probabilities_at(self, dm: DiscreteModel, theta: float, w=None) -> np.ndarray:
+        """probabilities(dm.outcome_weights(theta)), computed once per theta.
+
+        w, if given, is dm.outcome_weights(theta) already computed by the
+        caller.  Results are kept, read-only, while their total length stays
+        within _CACHED_PROBABILITIES.
+        """
+        p = self.by_theta.get(theta)
+        if p is None:
+            p = self.probabilities(dm.outcome_weights(theta) if w is None else w)
+            if (len(self.by_theta) + 1) * len(self.atoms) <= _CACHED_PROBABILITIES:
+                p.setflags(write=False)
+                self.by_theta[theta] = p
+        return p
 
 
 def _law(values: np.ndarray) -> _Law:
@@ -253,6 +311,28 @@ def _estimates(dm: DiscreteModel, e: Estimator) -> np.ndarray:
     return values
 
 
+def _estimate_law(dm: DiscreteModel, g: Generator, e: Estimator, label: str):
+    """e on every outcome, domain-checked under label, and the law of those values.
+
+    e.fn runs and the domain is checked on every call.  The model keeps a
+    read-only copy of the values of its last call, and their law; values
+    byte-identical to those (compared as int64, so -0.0 and 0.0 or two NaN
+    payloads never match) reuse that law, and its atom probabilities,
+    instead of sorting again.  The kept copy is what is returned, so an
+    estimator that later overwrites its own output cannot change it.
+    """
+    values = _estimates(dm, e)
+    g.domain.check(values, label)
+    last = dm.__dict__.get("_last_law")
+    if last is not None and np.array_equal(last[0].view(np.int64), values.view(np.int64)):
+        return last
+    law = _law(values)
+    values = values.copy()
+    values.setflags(write=False)
+    dm.__dict__["_last_law"] = values, law
+    return values, law
+
+
 @lru_cache(maxsize=4)
 def _multiset_classes(m: int, n: int):
     """Multiset class of every outcome row, in outcome_index order, and class sizes.
@@ -281,25 +361,18 @@ def _multiset_classes(m: int, n: int):
     return labels, counts
 
 
-def _rb_classes(dm: DiscreteModel, g: Generator, duals: np.ndarray) -> np.ndarray:
-    """Rao-Blackwell value of every multiset class from the outcomes' dual values.
+def _rb_classes(dm: DiscreteModel, g: Generator, e: Estimator):
+    """Estimates, their law, grad phi at its atoms, and the Rao-Blackwell value of every class.
 
-    Dual values are averaged per class and mapped back through the inverse
-    gradient once per class.
+    The outcomes' dual values are averaged per multiset class and mapped back
+    through the inverse gradient once per class.  The domain is checked on
+    the full array, so its errors name outcome indices.
     """
-    cls, counts = _multiset_classes(dm.m, dm.n)
-    return np.asarray(g.invert_gradient(np.bincount(cls, weights=duals) / counts), dtype=float)
-
-
-def _rb_duals(g: Generator, base: np.ndarray):
-    """Law of the estimates, grad phi at its atoms, and the dual value of every outcome.
-
-    The domain is checked on the full array, so its errors name outcome indices.
-    """
-    g.domain.check(base, "x")
-    law = _law(base)
+    base, law = _estimate_law(dm, g, e, "x")
     grad = np.asarray(g.gradient(law.atoms), dtype=float)
-    return law, grad, law.spread(grad)
+    cls, counts = _multiset_classes(dm.m, dm.n)
+    means = np.bincount(cls, weights=law.spread(grad)) / counts
+    return base, law, grad, np.asarray(g.invert_gradient(means), dtype=float)
 
 
 def _rb_id(g: Generator, e: Estimator) -> str:
@@ -320,8 +393,7 @@ def exact_rao_blackwell(dm: DiscreteModel, g: Generator, e: Estimator) -> Estima
     dm.n drawn from dm.support; any other value raises DomainError.
     """
     m, n = dm.m, dm.n
-    _, _, duals = _rb_duals(g, _estimates(dm, e))
-    table = _rb_classes(dm, g, duals)[_multiset_classes(m, n)[0]]
+    table = _rb_classes(dm, g, e)[3][_multiset_classes(m, n)[0]]
     place = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
     support = np.asarray(dm.support)
 
@@ -379,21 +451,22 @@ def verify_rb_inequality(dm: DiscreteModel, g: Generator, e: Estimator, theta_gr
     estimator's values, with phi and grad phi taken once per atom for every
     theta.
     """
-    base = _estimates(dm, e)
-    law, grad_base, duals = _rb_duals(g, base)
+    base, law, grad_base, rb_classes = _rb_classes(dm, g, e)
     cls, _ = _multiset_classes(dm.m, dm.n)
-    rb_classes = _rb_classes(dm, g, duals)
     rb_atoms, rb_of_class = np.unique(rb_classes, return_inverse=True)
     rb_law = _law_of_labels(rb_atoms, rb_of_class[cls])
     scale = 1.0 + float(np.max(np.abs(law.atoms)))
-    invariant = bool(np.max(np.abs(rb_classes[cls] - base)) <= _INVARIANCE_TOL * scale)
+    moved = rb_classes[cls]
+    moved -= base
+    invariant = bool(np.max(np.abs(moved, out=moved)) <= _INVARIANCE_TOL * scale)
     phi_base, phi_rb, grad_rb = g.value(law.atoms), g.value(rb_atoms), g.gradient(rb_atoms)
     rows = []
     for theta in map(float, theta_grid):
         w = dm.outcome_weights(theta)
         phi_t = g.value(theta)
         risk_base = _mean(
-            law.probabilities(w), _div(g, theta, law.atoms, phi_t - phi_base, grad_base)
+            law.probabilities_at(dm, theta, w),
+            _div(g, theta, law.atoms, phi_t - phi_base, grad_base),
         )
         risk_rb = _mean(rb_law.probabilities(w), _div(g, theta, rb_atoms, phi_t - phi_rb, grad_rb))
         rows.append(RBRow(theta, risk_base, risk_rb, risk_base - risk_rb))
@@ -447,15 +520,13 @@ def verify_decompositions_grid(
     per distinct estimate.  Each check equals verify_decompositions at its
     theta bitwise.
     """
-    delta = _estimates(dm, e)
-    g.domain.check(delta, "estimate")
-    law = _law(delta)
+    law = _estimate_law(dm, g, e, "estimate")[1]
     atoms = law.atoms
     grad_d = np.asarray(g.gradient(atoms))
     phi_d = g.value(atoms)
     checks = []
     for theta in map(float, theta_grid):
-        p = law.probabilities(dm.outcome_weights(theta))
+        p = law.probabilities_at(dm, theta)
         center_left = float(g.invert_gradient(_mean(p, grad_d)))
         phi_t = g.value(theta)
 
@@ -507,6 +578,8 @@ def calibrated_type1_estimator(
     The shift is computed by exact enumeration at theta0, so the resulting
     estimator is dual-unbiased at that single parameter value.  Raises at
     evaluation time if a shifted dual value leaves the gradient's range.
+    stat_fn first receives dm.outcome_values, which is shared and read-only:
+    a stat_fn that writes into it raises ValueError instead of corrupting it.
     """
     duals = np.asarray(g.gradient(stat_fn(dm.outcome_values)), dtype=float)
     shift = float(g.gradient(float(theta0))) - _expect(dm, dm.outcome_weights(theta0), duals)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .generators import Generator
+from .generators import Generator, _float_scalar
 
 # Floating-point cancellation can push a true zero slightly negative; values
 # in [-NEG_CLAMP, 0) are reported as 0, anything more negative is an error.
@@ -28,6 +28,9 @@ def _scalarize(arr):
 
 
 def _clamped(d):
+    v = _float_scalar(d)
+    if v is not None and v >= 0.0:
+        return v
     arr = np.asarray(d, dtype=float)
     if np.any(arr < -NEG_CLAMP):
         raise NumericError(

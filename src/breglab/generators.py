@@ -28,6 +28,20 @@ from .errors import ConfigError, DomainError, NumericError, RangeError, Unsuppor
 
 _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 200
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _float_scalar(x):
+    """x as a Python float if it is a float64 scalar or 0-d float64 array, else None.
+
+    DomainSpec.check, _ensure_finite and divergence._clamped pass a valid
+    scalar with plain float comparisons.  Anything else, and every scalar
+    that fails, takes their numpy path, so what they raise is unchanged.
+    """
+    t = type(x)
+    if t is float or t is np.float64 or (t is np.ndarray and x.ndim == 0 and x.dtype is _FLOAT64):
+        return float(x)
+    return None
 
 
 @dataclass(frozen=True)
@@ -67,6 +81,9 @@ class DomainSpec:
         return bool(np.all(self.mask(np.asarray(x, dtype=float))))
 
     def check(self, arr: np.ndarray, label: str, error=DomainError) -> None:
+        v = _float_scalar(arr)
+        if v is not None and self.lo < v < self.hi:  # false for nan and for +-inf
+            return
         ok = self.mask(arr)
         if np.all(ok):
             return
@@ -122,6 +139,9 @@ class Generator:
 
 
 def _ensure_finite(arr: np.ndarray, what: str) -> np.ndarray:
+    v = _float_scalar(arr)
+    if v is not None and math.isfinite(v):
+        return arr
     if not np.all(np.isfinite(arr)):
         raise NumericError(f"{what} is not finite (overflow or invalid operand)")
     return arr

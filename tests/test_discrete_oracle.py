@@ -30,6 +30,7 @@ from breglab import (
     verify_decompositions_grid,
     verify_rb_inequality,
 )
+from breglab import discrete_oracle
 from breglab.discrete_oracle import _law, _mean, _multiset_classes
 from breglab.generators import SeparableGenerator
 
@@ -390,6 +391,188 @@ class TestComputeOnce:
             verify_rb_inequality(dm, negative_log(1), FIRST, (1.0, -1.0))
         with pytest.raises(DomainError, match=msg):
             verify_decompositions(dm, negative_log(1), FIRST, -1.0)
+
+
+def run_all(dm, g, e, thetas):
+    """The RB check, one-theta decompositions, the grid and the RB estimator's values on dm."""
+    rb = verify_rb_inequality(dm, g, e, thetas)
+    one = [verify_decompositions(dm, g, e, t) for t in thetas]
+    grid = verify_decompositions_grid(dm, g, e, thetas)
+    table = exact_rao_blackwell(dm, g, e).fn(dm.outcome_values)
+    return repr(rb), repr(one), repr(grid), table
+
+
+def fresh_all(support, n, g, e, thetas):
+    """run_all with a new model for every call."""
+    rb = verify_rb_inequality(DiscreteModel(support, n), g, e, thetas)
+    one = [verify_decompositions(DiscreteModel(support, n), g, e, t) for t in thetas]
+    grid = verify_decompositions_grid(DiscreteModel(support, n), g, e, thetas)
+    dm = DiscreteModel(support, n)
+    table = exact_rao_blackwell(dm, g, e).fn(dm.outcome_values)
+    return repr(rb), repr(one), repr(grid), table
+
+
+def assert_same_runs(got, ref):
+    assert got[:3] == ref[:3]
+    assert np.array_equal(got[3].view(np.int64), ref[3].view(np.int64))
+
+
+def count_laws(monkeypatch):
+    """Record every _law call from the oracle; returns the list of calls."""
+    calls = []
+    original = discrete_oracle._law
+
+    def counted(values):
+        calls.append(len(values))
+        return original(values)
+
+    monkeypatch.setattr(discrete_oracle, "_law", counted)
+    return calls
+
+
+class TestLawReuse:
+    """One model keeps the law of its last estimates; reuse must be exact and never alias."""
+
+    THETAS = (0.5, 1.0, 2.0)
+    SUPPORT = (0.5, 1.5, 2.5, 4.0)
+
+    @pytest.mark.parametrize(
+        "g", ORACLE_GENERATORS + [negative_entropy(1).without_closed_forms()], ids=lambda g: g.id
+    )
+    @pytest.mark.parametrize("e", [FIRST, HEAD2, MEAN], ids=lambda e: e.id)
+    def test_reused_law_gives_fresh_model_reports(self, g, e):
+        got = run_all(DiscreteModel(self.SUPPORT, 4), g, e, self.THETAS)
+        assert_same_runs(got, fresh_all(self.SUPPORT, 4, g, e, self.THETAS))
+
+    def test_shared_id_different_fn_builds_new_law(self, monkeypatch):
+        laws = count_laws(monkeypatch)
+        g = squared_euclidean(1)
+        e1 = Estimator("same", lambda x: x[..., 0])
+        e2 = Estimator("same", lambda x: x[..., 1])
+        dm = DiscreteModel(self.SUPPORT, 3)
+        got = [run_all(dm, g, e, self.THETAS) for e in (e1, e2, e1)]
+        assert len(laws) == 3
+        for run, e in zip(got, (e1, e2, e1)):
+            assert_same_runs(run, fresh_all(self.SUPPORT, 3, g, e, self.THETAS))
+
+    def test_signed_zero_constants_do_not_alias(self, monkeypatch):
+        # every check's law must carry the sign of its own estimates' zero
+        used = []
+        original = discrete_oracle._estimate_law
+
+        def spied(*args):
+            values, law = original(*args)
+            used.append((bool(np.signbit(values[0])), bool(np.signbit(law.atoms[0]))))
+            return values, law
+
+        monkeypatch.setattr(discrete_oracle, "_estimate_law", spied)
+        g = squared_euclidean(1)
+        zero, negzero = (resolve_discrete_estimator(s) for s in ("const:0", "const:-0"))
+        assert negzero.id == "const:-0"
+        dm = DiscreteModel(self.SUPPORT, 3)
+        for e in (zero, negzero, zero, negzero):
+            assert_same_runs(
+                run_all(dm, g, e, self.THETAS), fresh_all(self.SUPPORT, 3, g, e, self.THETAS)
+            )
+        signs = [sign for sign, _ in used]
+        assert signs.count(True) == signs.count(False) > 0
+        assert all(value_sign == atom_sign for value_sign, atom_sign in used)
+
+    def test_stateful_estimator_gets_each_calls_law(self):
+        g = negative_log(1)
+        calls = []
+
+        def fn(x):
+            calls.append(None)
+            return x[..., 0] if len(calls) == 1 else np.mean(x, axis=-1)
+
+        dm = DiscreteModel(self.SUPPORT, 3)
+        stateful = Estimator("stateful", fn)
+        first = verify_decompositions_grid(dm, g, stateful, self.THETAS)
+        second = verify_decompositions_grid(dm, g, stateful, self.THETAS)
+        assert calls == [None, None]
+        for got, ref in ((first, FIRST), (second, MEAN)):
+            same = Estimator("stateful", ref.fn)
+            fresh = DiscreteModel(self.SUPPORT, 3)
+            assert repr(got) == repr(verify_decompositions_grid(fresh, g, same, self.THETAS))
+        assert first != second
+
+    def test_estimator_refilling_one_buffer_gets_each_calls_law(self):
+        # the model must not keep a reference the estimator can overwrite
+        dm = DiscreteModel(self.SUPPORT, 3)
+        buf = np.empty(dm.outcome_count)
+        fills = iter([FIRST.fn, MEAN.fn, FIRST.fn])
+
+        def fn(x):
+            buf[:] = next(fills)(x)
+            return buf
+
+        g = negative_entropy(1)
+        refilled = Estimator("refilled", fn)
+        for ref in (FIRST, MEAN, FIRST):
+            got = verify_decompositions_grid(dm, g, refilled, self.THETAS)
+            fresh = verify_decompositions_grid(
+                DiscreteModel(self.SUPPORT, 3), g, Estimator("refilled", ref.fn), self.THETAS
+            )
+            assert repr(got) == repr(fresh)
+
+    def test_estimator_writing_into_outcomes_raises(self):
+        dm = DiscreteModel(self.SUPPORT, 2)
+
+        def fn(x):
+            x[:, 0] = 1.0
+            return x[:, 0]
+
+        with pytest.raises(ValueError):
+            verify_decompositions(dm, squared_euclidean(1), Estimator("writer", fn), 1.0)
+        npt.assert_array_equal(dm.outcome_values, np.asarray(self.SUPPORT)[dm.outcome_index])
+
+
+class TestComputeOnceAcrossCalls:
+    THETAS = (0.5, 1.0, 2.0)
+
+    @pytest.mark.parametrize("g", ORACLE_GENERATORS, ids=lambda g: g.id)
+    @pytest.mark.parametrize("e", [FIRST, HEAD2, MEAN], ids=lambda e: e.id)
+    def test_rb_then_decompositions_sort_and_weigh_once(self, monkeypatch, g, e):
+        laws = count_laws(monkeypatch)
+        weighed = []
+        original = DiscreteModel.outcome_weights
+
+        def outcome_weights(self, theta):
+            weighed.append(theta)
+            return original(self, theta)
+
+        monkeypatch.setattr(DiscreteModel, "outcome_weights", outcome_weights)
+        dm = DiscreteModel((1.0, 2.0, 3.0), 4)
+        verify_rb_inequality(dm, g, e, self.THETAS)
+        for theta in self.THETAS:
+            verify_decompositions(dm, g, e, theta)
+        assert laws == [81]
+        assert sorted(weighed) == sorted(self.THETAS)
+
+    def test_reused_law_still_checks_domain(self, monkeypatch):
+        laws = count_laws(monkeypatch)
+        dm = DiscreteModel((1.0, 2.0), 2)
+        bad = Estimator("bad", lambda x: 1.5 - x[..., 0])  # [0.5, 0.5, -0.5, -0.5]
+        verify_rb_inequality(dm, squared_euclidean(1), bad, (1.0,))
+        verify_decompositions(dm, squared_euclidean(1), bad, 1.0)
+        assert laws == [4]
+        outside = r"\[2\] = -0\.5 is outside open interval \(0\.0, inf\)$"
+        with pytest.raises(DomainError, match=r"^estimate" + outside):
+            verify_decompositions(dm, negative_log(1), bad, 1.0)
+        with pytest.raises(DomainError, match=r"^estimate" + outside):
+            verify_decompositions_grid(dm, negative_entropy(1), bad, (0.5, 1.0))
+        with pytest.raises(DomainError, match=r"^x" + outside):
+            verify_rb_inequality(dm, negative_log(1), bad, (1.0,))
+        with pytest.raises(DomainError, match=r"^x" + outside):
+            exact_rao_blackwell(dm, negative_entropy(1), bad)
+        assert laws == [4]
+
+    def test_outcome_values_shared_per_support_and_read_only(self):
+        a, b = DiscreteModel((1.0, 2.0, 3.0), 4), DiscreteModel((3.0, 2.0, 1.0), 4)
+        assert a.outcome_values is b.outcome_values
+        assert not a.outcome_values.flags.writeable
+        assert DiscreteModel((1.0, 2.0, 3.0), 3).outcome_values is not a.outcome_values
 
 
 EPS = np.finfo(float).eps
