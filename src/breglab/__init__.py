@@ -15,7 +15,6 @@ from .discrete_oracle import (
     calibrated_type1_estimator,
     exact_expectation,
     exact_rao_blackwell,
-    resolve_discrete_estimator,
     verify_decompositions,
     verify_decompositions_grid,
     verify_rb_inequality,

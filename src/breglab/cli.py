@@ -5,8 +5,11 @@ unexpected verdict pattern in reproduce, or a report flagged invalid), 2 on
 usage, configuration, or domain errors.
 
 Every subcommand accepts --config <json file> mirroring its flags; explicit
-flags override file values.  The resolved configuration is echoed on stdout
-and embedded in any file written with --out.
+flags override file values.  Each option is declared once, in _COMMANDS or
+_COMMON, and a config value is parsed exactly like the flag; a malformed
+value, or a key no subcommand declares, exits 2 before anything runs.  The
+resolved configuration is echoed on stdout and embedded in any file written
+with --out.
 """
 
 from __future__ import annotations
@@ -19,12 +22,7 @@ import sys
 import numpy as np
 
 from . import reporting
-from .discrete_oracle import (
-    DiscreteModel,
-    resolve_discrete_estimator,
-    verify_decompositions_grid,
-    verify_rb_inequality,
-)
+from .discrete_oracle import DiscreteModel, verify_decompositions_grid, verify_rb_inequality
 from .divergence import bregman_div, dual_transport
 from .errors import (
     BudgetError,
@@ -50,16 +48,61 @@ _USAGE_ERRORS = (ConfigError, UnsupportedError, DomainError, RangeError, BudgetE
 
 
 def _float_list(text: str) -> list[float]:
+    return [float(tok) for tok in text.split(",") if tok != ""]
+
+
+def _floats(value) -> str:
+    """At least one comma-separated float, checked here and kept as text for the echoed config."""
+    text = str(value)
+    if not _float_list(text):
+        raise ValueError(text)
+    return text
+
+
+def _int(value) -> int:
+    """int(value), refusing a bool and a float it would have to truncate."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(value)
+    return int(value)
+
+
+def _workers(value) -> int:
+    workers = _int(value)
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    return workers
+
+
+# Options are declared as name -> (parse, default[, help]).  A tuple of
+# strings as parse lists the choices; REQUIRED marks an option without a
+# default.  _COMMON holds the options every subcommand takes.
+REQUIRED = object()
+_ORIENTATION = (("left", "right"), "left")
+_COMMON = {
+    "seed": (_int, 0),
+    "workers": (_workers, 1),
+    "format": (("json", "csv"), "json"),
+    "out": (str, None),
+}
+_CONFIG = {"config": (str, None, "JSON object of option values; explicit flags win")}
+
+
+def _parse(key: str, parse, value):
+    """One option value, from a flag or a config file, parsed; a malformed one is a ConfigError."""
+    if isinstance(parse, tuple):
+        if value in parse:
+            return value
+        raise ConfigError(f"--{key} must be one of {', '.join(parse)}, got {value!r}")
     try:
-        return [float(tok) for tok in str(text).split(",") if tok != ""]
-    except ValueError:
-        raise ConfigError(f"expected comma-separated floats, got {text!r}") from None
+        return parse(value)
+    except (ValueError, TypeError):
+        raise ConfigError(f"--{key} got the malformed value {value!r}") from None
 
 
-def _resolve(args, spec: dict) -> dict:
-    """Merge CLI values over config-file values over defaults."""
+def _resolve(args) -> dict:
+    """Merge flag values over config-file values over defaults."""
     file_cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config) as fh:
                 file_cfg = json.load(fh)
@@ -67,33 +110,20 @@ def _resolve(args, spec: dict) -> dict:
             raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from None
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must contain a JSON object")
+        unknown = sorted(set(file_cfg) - _KNOWN_KEYS)
+        if unknown:
+            raise ConfigError(f"config file has unknown option(s) {', '.join(unknown)}")
     cfg = {}
-    for key, (default, required, parse) in spec.items():
-        val = getattr(args, key, None)
+    for key, (parse, default, *_) in {**_COMMANDS[args.command][2], **_COMMON}.items():
+        val = getattr(args, key)
         if val is None:
-            val = file_cfg.get(key, default)
+            val = file_cfg.get(key)
         if val is None:
-            if required:
-                raise ConfigError(f"missing required option --{key.replace('_', '-')}")
-            cfg[key] = None
-            continue
-        cfg[key] = parse(val) if parse else val
+            val = default
+        if val is REQUIRED:
+            raise ConfigError(f"missing required option --{key}")
+        cfg[key] = None if val is None else _parse(key, parse, val)
     return cfg
-
-
-def _workers(value) -> int:
-    workers = int(value)
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
-    return workers
-
-
-_COMMON = {
-    "seed": (0, False, int),
-    "workers": (1, False, _workers),
-    "format": ("json", False, str),
-    "out": (None, False, str),
-}
 
 
 def _echo_config(cfg: dict) -> None:
@@ -101,20 +131,9 @@ def _echo_config(cfg: dict) -> None:
 
 
 def _emit(reports, cfg: dict) -> None:
-    fmt = cfg.get("format") or "json"
-    if fmt not in ("json", "csv"):
-        raise ConfigError(f"format must be json or csv, got {fmt!r}")
-    if cfg.get("out"):
+    if cfg["out"]:
         with open(cfg["out"], "w") as fh:
-            fh.write(reporting.render(reports, fmt, cfg))
-
-
-def _add_common(sub):
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--workers", type=int, default=None)
-    sub.add_argument("--format", choices=("json", "csv"), default=None)
-    sub.add_argument("--out", default=None)
-    sub.add_argument("--config", default=None)
+            fh.write(reporting.render(reports, cfg["format"], cfg))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -123,68 +142,19 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Bregman-loss risk decompositions and unbiasedness experiments",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("divergence", help="evaluate a divergence and its dual transport")
-    p.add_argument("--gen", default=None)
-    p.add_argument("--x", default=None)
-    p.add_argument("--y", default=None)
-    _add_common(p)
-
-    p = subs.add_parser("risk", help="Monte Carlo risk with bias/variance split")
-    p.add_argument("--model", default=None)
-    p.add_argument("--gen", default=None)
-    p.add_argument("--estimator", default=None)
-    p.add_argument("--theta", default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--replicates", "-M", type=int, default=None)
-    p.add_argument("--orientation", choices=("left", "right"), default=None)
-    _add_common(p)
-
-    p = subs.add_parser("check", help="unbiasedness or loss-grid checks")
-    p.add_argument("--kind", choices=("type1", "type2", "lehmann"), default=None)
-    p.add_argument("--model", default=None)
-    p.add_argument("--gen", default=None)
-    p.add_argument("--estimator", default=None)
-    p.add_argument("--theta", default=None, help="grid for type1/type2, single value for lehmann")
-    p.add_argument("--grid", default=None, help="lehmann comparison grid")
-    p.add_argument("--orientation", choices=("left", "right"), default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--replicates", "-M", type=int, default=None)
-    _add_common(p)
-
-    p = subs.add_parser("compare", help="paired risk comparison on shared samples")
-    p.add_argument("--model", default=None)
-    p.add_argument("--gen", default=None)
-    p.add_argument("--e1", default=None)
-    p.add_argument("--e2", default=None)
-    p.add_argument("--theta", default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--replicates", "-M", type=int, default=None)
-    p.add_argument("--orientation", choices=("left", "right"), default=None)
-    _add_common(p)
-
-    p = subs.add_parser("oracle", help="exact enumeration checks on a finite support")
-    p.add_argument("--m", type=int, default=None, help="support size; support is 1..m")
-    p.add_argument("--support", default=None, help="explicit support values, overrides --m")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--gen", default=None)
-    p.add_argument("--estimator", default=None)
-    p.add_argument("--theta", default=None, help="comma-separated theta grid")
-    _add_common(p)
-
-    p = subs.add_parser("reproduce", help="run a packaged worked example end to end")
-    p.add_argument("--example", choices=("exp", "lognormal"), default=None)
-    p.add_argument("--replicates", "-M", type=int, default=None)
-    _add_common(p)
-
+    for command, (_, help_text, options) in _COMMANDS.items():
+        p = subs.add_parser(command, help=help_text)
+        for key, (parse, _, *help_) in {**options, **_COMMON, **_CONFIG}.items():
+            p.add_argument(
+                f"--{key}", *(("-M",) if key == "replicates" else ()),
+                choices=parse if isinstance(parse, tuple) else None,
+                help=help_[0] if help_ else None,
+            )
     return parser
 
 
 def cmd_divergence(args) -> int:
-    cfg = _resolve(
-        args,
-        {"gen": (None, True, str), "x": (None, True, str), "y": (None, True, str), **_COMMON},
-    )
+    cfg = _resolve(args)
     xs = _float_list(cfg["x"])
     ys = _float_list(cfg["y"])
     if len(xs) != len(ys):
@@ -212,19 +182,7 @@ def _validity_exit(reports) -> int:
 
 
 def cmd_risk(args) -> int:
-    cfg = _resolve(
-        args,
-        {
-            "model": (None, True, str),
-            "gen": (None, True, str),
-            "estimator": (None, True, str),
-            "theta": (None, True, float),
-            "n": (None, True, int),
-            "replicates": (None, True, int),
-            "orientation": ("left", False, str),
-            **_COMMON,
-        },
-    )
+    cfg = _resolve(args)
     model = resolve_model(cfg["model"])
     g = resolve_generator(cfg["gen"], dim=1)
     e = resolve_estimator(cfg["estimator"], model, g)
@@ -247,53 +205,28 @@ def _verdict_word(v: bool) -> str:
 
 
 def cmd_check(args) -> int:
-    cfg = _resolve(
-        args,
-        {
-            "kind": (None, True, str),
-            "model": (None, True, str),
-            "gen": (None, False, str),
-            "estimator": (None, True, str),
-            "theta": (None, True, str),
-            "grid": (None, False, str),
-            "orientation": ("left", False, str),
-            "n": (None, True, int),
-            "replicates": (None, True, int),
-            **_COMMON,
-        },
-    )
+    cfg = _resolve(args)
     model = resolve_model(cfg["model"])
     g = resolve_generator(cfg["gen"], dim=1) if cfg["gen"] else None
     e = resolve_estimator(cfg["estimator"], model, g)
-    kind = cfg["kind"]
+    kind, thetas = cfg["kind"], _float_list(cfg["theta"])
+    run = (cfg["n"], cfg["replicates"], cfg["seed"], cfg["workers"])
+    if g is None and kind != "type2":
+        raise ConfigError(f"check --kind {kind} needs --gen")
     if kind == "type1":
-        if g is None:
-            raise ConfigError("check --kind type1 needs --gen")
-        reports = check_type1_unbiased(
-            model, _float_list(cfg["theta"]), e, g, cfg["n"],
-            cfg["replicates"], cfg["seed"], cfg["workers"],
-        )
+        reports = check_type1_unbiased(model, thetas, e, g, *run)
     elif kind == "type2":
-        reports = check_type2_unbiased(
-            model, _float_list(cfg["theta"]), e, cfg["n"],
-            cfg["replicates"], cfg["seed"], cfg["workers"],
-        )
-    elif kind == "lehmann":
-        if g is None:
-            raise ConfigError("check --kind lehmann needs --gen")
+        reports = check_type2_unbiased(model, thetas, e, *run)
+    else:
         if not cfg["grid"]:
             raise ConfigError("check --kind lehmann needs --grid")
-        theta_vals = _float_list(cfg["theta"])
-        if len(theta_vals) != 1:
+        if len(thetas) != 1:
             raise ConfigError("check --kind lehmann takes a single --theta")
         reports = [
             lehmann_grid_check(
-                model, theta_vals[0], _float_list(cfg["grid"]), e, g,
-                cfg["orientation"], cfg["n"], cfg["replicates"], cfg["seed"], cfg["workers"],
+                model, thetas[0], _float_list(cfg["grid"]), e, g, cfg["orientation"], *run
             )
         ]
-    else:
-        raise ConfigError(f"unknown check kind {kind!r}")
     _echo_config(cfg)
     for r in reports:
         # an invalid report dropped too many replicates to carry a verdict
@@ -313,20 +246,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = _resolve(
-        args,
-        {
-            "model": (None, True, str),
-            "gen": (None, True, str),
-            "e1": (None, True, str),
-            "e2": (None, True, str),
-            "theta": (None, True, float),
-            "n": (None, True, int),
-            "replicates": (None, True, int),
-            "orientation": ("left", False, str),
-            **_COMMON,
-        },
-    )
+    cfg = _resolve(args)
     model = resolve_model(cfg["model"])
     g = resolve_generator(cfg["gen"], dim=1)
     e1 = resolve_estimator(cfg["e1"], model, g)
@@ -348,71 +268,50 @@ def cmd_compare(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    cfg = _resolve(
-        args,
-        {
-            "m": (None, False, int),
-            "support": (None, False, str),
-            "n": (None, True, int),
-            "gen": (None, True, str),
-            "estimator": (None, True, str),
-            "theta": (None, True, str),
-            **_COMMON,
-        },
-    )
-    if cfg["support"]:
+    cfg = _resolve(args)
+    if cfg["support"] is not None:
         support = _float_list(cfg["support"])
-    elif cfg["m"]:
+    elif cfg["m"] is not None:
         support = [float(v) for v in range(1, cfg["m"] + 1)]
     else:
         raise ConfigError("oracle needs --m or --support")
     dm = DiscreteModel(tuple(support), cfg["n"])
     g = resolve_generator(cfg["gen"], dim=1)
-    e = resolve_discrete_estimator(cfg["estimator"])
+    e = resolve_estimator(cfg["estimator"], dm, g)
     grid = _float_list(cfg["theta"])
     rb = verify_rb_inequality(dm, g, e, grid)
     checks = verify_decompositions_grid(dm, g, e, grid)
-    rows = []
-    for row, chk in zip(rb.rows, checks):
-        rows.append(
-            {
-                "support": list(dm.support),
-                "n": dm.n,
-                "generator_id": g.id,
-                "estimator_id": e.id,
-                "theta": row.theta,
-                "risk_estimator": row.risk_estimator,
-                "risk_rb": row.risk_rb,
-                "gap": row.gap,
-                "residual_left": chk.residual_left,
-                "residual_right": chk.residual_right,
-                "permutation_invariant": rb.permutation_invariant,
-            }
-        )
-    max_residual = max(
-        max(c.residual_left, c.residual_right) for c in checks
-    )
+    rows = [
+        {
+            "support": list(dm.support),
+            "n": dm.n,
+            "generator_id": g.id,
+            "estimator_id": e.id,
+            "theta": row.theta,
+            "risk_estimator": row.risk_estimator,
+            "risk_rb": row.risk_rb,
+            "gap": row.gap,
+            "residual_left": chk.residual_left,
+            "residual_right": chk.residual_right,
+            "permutation_invariant": rb.permutation_invariant,
+        }
+        for row, chk in zip(rb.rows, checks)
+    ]
+    max_residual = max(max(c.max_residual for c in checks), rb.max_violation)
     passed = rb.passed and all(c.passed for c in checks)
     _echo_config(cfg)
-    for row in rows:
+    for row in rb.rows:
         print(
-            f"theta = {row['theta']!r}: risk = {row['risk_estimator']!r} "
-            f"rb = {row['risk_rb']!r} gap = {row['gap']!r}"
+            f"theta = {row.theta!r}: risk = {row.risk_estimator!r} "
+            f"rb = {row.risk_rb!r} gap = {row.gap!r}"
         )
-    print(
-        f"{_verdict_word(passed)} max_residual = {max(max_residual, rb.max_violation)!r}"
-    )
+    print(f"{_verdict_word(passed)} max_residual = {max_residual!r}")
     _emit(rows, cfg)
     return 0 if passed else 1
 
 
 def cmd_reproduce(args) -> int:
-    cfg = _resolve(
-        args,
-        {"example": (None, True, str), "replicates": (None, False, int), **_COMMON},
-    )
-    if cfg["example"] not in ("exp", "lognormal"):
-        raise ConfigError(f"unknown example {cfg['example']!r}, expected exp or lognormal")
+    cfg = _resolve(args)
     if cfg["example"] == "exp":
         model, g = ExponentialModel(), resolve_generator("neglog", 1)
         theta, n, k = 2.0, 5, 3
@@ -423,8 +322,7 @@ def cmd_reproduce(args) -> int:
         default_replicates = 100_000
     if cfg["replicates"] is None:
         cfg["replicates"] = default_replicates
-    replicates = cfg["replicates"]
-    seed, workers = cfg["seed"], cfg["workers"]
+    replicates, seed, workers = cfg["replicates"], cfg["seed"], cfg["workers"]
 
     e_type1 = build_type1_umvue(model, g)
     e_classical = model.classical_umvue
@@ -462,14 +360,59 @@ def cmd_reproduce(args) -> int:
     return 0 if ok else 1
 
 
-_RUNNERS = {
-    "divergence": cmd_divergence,
-    "risk": cmd_risk,
-    "check": cmd_check,
-    "compare": cmd_compare,
-    "oracle": cmd_oracle,
-    "reproduce": cmd_reproduce,
+# Each subcommand, declared once: name -> (runner, help, options).  argparse
+# and the config-file merge both read this table.
+_COMMANDS = {
+    "divergence": (cmd_divergence, "evaluate a divergence and its dual transport", {
+        "gen": (str, REQUIRED),
+        "x": (_floats, REQUIRED),
+        "y": (_floats, REQUIRED),
+    }),
+    "risk": (cmd_risk, "Monte Carlo risk with bias/variance split", {
+        "model": (str, REQUIRED),
+        "gen": (str, REQUIRED),
+        "estimator": (str, REQUIRED),
+        "theta": (float, REQUIRED),
+        "n": (_int, REQUIRED),
+        "replicates": (_int, REQUIRED),
+        "orientation": _ORIENTATION,
+    }),
+    "check": (cmd_check, "unbiasedness or loss-grid checks", {
+        "kind": (("type1", "type2", "lehmann"), REQUIRED),
+        "model": (str, REQUIRED),
+        "gen": (str, None),
+        "estimator": (str, REQUIRED),
+        "theta": (_floats, REQUIRED, "grid for type1/type2, single value for lehmann"),
+        "grid": (_floats, None, "lehmann comparison grid"),
+        "orientation": _ORIENTATION,
+        "n": (_int, REQUIRED),
+        "replicates": (_int, REQUIRED),
+    }),
+    "compare": (cmd_compare, "paired risk comparison on shared samples", {
+        "model": (str, REQUIRED),
+        "gen": (str, REQUIRED),
+        "e1": (str, REQUIRED),
+        "e2": (str, REQUIRED),
+        "theta": (float, REQUIRED),
+        "n": (_int, REQUIRED),
+        "replicates": (_int, REQUIRED),
+        "orientation": _ORIENTATION,
+    }),
+    "oracle": (cmd_oracle, "exact enumeration checks on a finite support", {
+        "m": (_int, None, "support size; support is 1..m"),
+        "support": (_floats, None, "explicit support values, overrides --m"),
+        "n": (_int, REQUIRED),
+        "gen": (str, REQUIRED),
+        "estimator": (str, REQUIRED),
+        "theta": (_floats, REQUIRED, "comma-separated theta grid"),
+    }),
+    "reproduce": (cmd_reproduce, "run a packaged worked example end to end", {
+        "example": (("exp", "lognormal"), REQUIRED),
+        "replicates": (_int, None),
+    }),
 }
+# config-file keys: a key of another subcommand is allowed, one of none is a typo
+_KNOWN_KEYS = {*_COMMON, *_CONFIG}.union(*(opts for _, _, opts in _COMMANDS.values()))
 
 
 def main(argv=None) -> int:
@@ -479,7 +422,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _RUNNERS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -52,9 +52,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .divergence import _div, bregman_div
+from .divergence import BregmanInfo, _evaluate, _Evaluated, _loss, _oriented, bregman_div
 from .errors import BudgetError, ConfigError, DomainError
-from .estimators import Estimator
+from .estimators import Estimator, resolve_estimator
 from .generators import Generator
 from .prng import pairwise_sum
 
@@ -78,6 +78,8 @@ class DiscreteModel:
     support: tuple
     n: int
 
+    family = "discrete"
+
     def __post_init__(self):
         vals = tuple(float(v) for v in self.support)
         if len(vals) < 1:
@@ -94,6 +96,11 @@ class DiscreteModel:
                 f"outcome space {len(ordered)}^{self.n} exceeds the {MAX_OUTCOMES} budget"
             )
         object.__setattr__(self, "support", ordered)
+
+    @property
+    def classical_umvue(self) -> Estimator:
+        """The sample mean, which the "classical" estimator spec names on this model."""
+        return resolve_estimator("mean", self)
 
     @property
     def m(self) -> int:
@@ -302,6 +309,8 @@ def _estimates(dm: DiscreteModel, e: Estimator) -> np.ndarray:
     An estimator may return a strided view; sorting and checking a
     contiguous copy is several times faster than the view.
     """
+    if dm.n < e.requires_min_n:
+        raise ConfigError(f"estimator '{e.id}' needs n >= {e.requires_min_n}, got {dm.n}")
     values = np.ascontiguousarray(e.fn(dm.outcome_values), dtype=float)
     if values.shape != (dm.outcome_count,):
         raise ConfigError(
@@ -459,16 +468,14 @@ def verify_rb_inequality(dm: DiscreteModel, g: Generator, e: Estimator, theta_gr
     moved = rb_classes[cls]
     moved -= base
     invariant = bool(np.max(np.abs(moved, out=moved)) <= _INVARIANCE_TOL * scale)
-    phi_base, phi_rb, grad_rb = g.value(law.atoms), g.value(rb_atoms), g.gradient(rb_atoms)
+    base = _Evaluated(law.atoms, g.value(law.atoms), grad_base)
+    rb = _evaluate(g, "left", rb_atoms, True)
     rows = []
     for theta in map(float, theta_grid):
         w = dm.outcome_weights(theta)
-        phi_t = g.value(theta)
-        risk_base = _mean(
-            law.probabilities_at(dm, theta, w),
-            _div(g, theta, law.atoms, phi_t - phi_base, grad_base),
-        )
-        risk_rb = _mean(rb_law.probabilities(w), _div(g, theta, rb_atoms, phi_t - phi_rb, grad_rb))
+        t = _evaluate(g, "left", theta, False)
+        risk_base = _mean(law.probabilities_at(dm, theta, w), _loss(g, "left", base, t))
+        risk_rb = _mean(rb_law.probabilities(w), _loss(g, "left", rb, t))
         rows.append(RBRow(theta, risk_base, risk_rb, risk_base - risk_rb))
     min_gap = min(r.gap for r in rows)
     return RBInequalityReport(
@@ -516,52 +523,25 @@ def verify_decompositions_grid(
 
     e.fn runs once per call and its estimates' domain is checked once on the
     full outcome array.  Every expectation is a sum over the law of the
-    estimates, so phi, grad phi and the four divergences are evaluated once
-    per distinct estimate.  Each check equals verify_decompositions at its
-    theta bitwise.
+    estimates, so phi and grad phi are evaluated once per distinct estimate.
+    Each orientation's center and variance are BregmanInfo.of the atoms under
+    their probabilities.  Each check equals verify_decompositions at its theta.
     """
     law = _estimate_law(dm, g, e, "estimate")[1]
-    atoms = law.atoms
-    grad_d = np.asarray(g.gradient(atoms))
-    phi_d = g.value(atoms)
+    est = _evaluate(g, "left", law.atoms, True)
     checks = []
     for theta in map(float, theta_grid):
         p = law.probabilities_at(dm, theta)
-        center_left = float(g.invert_gradient(_mean(p, grad_d)))
-        phi_t = g.value(theta)
-
-        risk_left = _mean(p, _div(g, theta, atoms, phi_t - phi_d, grad_d))
-        bias_left = float(bregman_div(g, theta, center_left))
-        var_left = _mean(p, _div(g, center_left, atoms, g.value(center_left) - phi_d, grad_d))
-        residual_left = abs(risk_left - bias_left - var_left)
-
-        center_right = _mean(p, atoms)
-        risk_right = _mean(p, _div(g, atoms, theta, phi_d - phi_t, g.gradient(theta)))
-        bias_right = float(bregman_div(g, center_right, theta))
-        phi_c, grad_c = g.value(center_right), g.gradient(center_right)
-        var_right = _mean(p, _div(g, atoms, center_right, phi_d - phi_c, grad_c))
-        residual_right = abs(risk_right - bias_right - var_right)
-
-        checks.append(
-            DecompositionCheck(
-                generator_id=g.id,
-                estimator_id=e.id,
-                support=dm.support,
-                n=dm.n,
-                theta=theta,
-                risk_left=risk_left,
-                bias_left=bias_left,
-                variance_left=var_left,
-                center_left=center_left,
-                residual_left=residual_left,
-                risk_right=risk_right,
-                bias_right=bias_right,
-                variance_right=var_right,
-                center_right=center_right,
-                residual_right=residual_right,
-                passed=bool(max(residual_left, residual_right) <= RESIDUAL_TOL),
-            )
-        )
+        # phi and grad phi of theta: the right loss reads both, the left phi only
+        t = _evaluate(g, "right", theta, False)
+        parts = []  # risk, bias, variance, center and residual, left then right
+        for side in ("left", "right"):
+            info = BregmanInfo.of(g, side, est, p)
+            risk = _mean(p, _loss(g, side, est, t))
+            bias = float(bregman_div(g, *_oriented(side, theta, info.center)))
+            parts += [risk, bias, info.v, info.center, abs(risk - bias - info.v)]
+        passed = bool(max(parts[4::5]) <= RESIDUAL_TOL)
+        checks.append(DecompositionCheck(g.id, e.id, dm.support, dm.n, theta, *parts, passed))
     return checks
 
 
@@ -588,30 +568,3 @@ def calibrated_type1_estimator(
         return np.asarray(g.invert_gradient(np.asarray(g.gradient(stat_fn(x))) + shift))
 
     return Estimator(est_id, fn, frozenset(), 1)
-
-
-def resolve_discrete_estimator(spec: str) -> Estimator:
-    """Estimator selection strings for the enumeration oracle.
-
-    Accepted forms: "mean" (alias "classical"), "first-k:<k>" (mean of the
-    first k observations), "const:<v>".
-    """
-    if spec in ("mean", "classical"):
-        return Estimator("mean", lambda x: np.mean(x, axis=-1), frozenset(), 1)
-    if spec.startswith("first-k:"):
-        try:
-            k = int(spec.split(":", 1)[1])
-        except ValueError:
-            raise ConfigError(f"bad first-k spec {spec!r}") from None
-        if k < 1:
-            raise ConfigError(f"first-k needs k >= 1, got {k}")
-        return Estimator(
-            f"first-k:{k}", lambda x: np.mean(x[..., :k], axis=-1), frozenset(), k
-        )
-    if spec.startswith("const:"):
-        try:
-            v = float(spec.split(":", 1)[1])
-        except ValueError:
-            raise ConfigError(f"bad const spec {spec!r}") from None
-        return Estimator(f"const:{v:g}", lambda x: np.full(x.shape[:-1], v), frozenset(), 1)
-    raise ConfigError(f"unknown oracle estimator {spec!r}")

@@ -1,8 +1,17 @@
-"""Bregman divergences, dual transport, means, and the two decompositions."""
+"""Bregman divergences, dual transport, means, and the two decompositions.
+
+This module owns the bias/variance split.  A loss D(theta, delta) splits
+exactly at the dual mean (grad phi)^-1(E grad phi(delta)), D(delta, theta) at
+the plain mean E delta, and the variance term is the Bregman information of
+Banerjee et al. (JMLR 2005).  BregmanInfo.of alone computes that center and
+variance: of equally weighted points for risk_lab's Monte Carlo chunks, and
+under a probability vector for decompose_left/right and the exact oracle.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,18 +114,122 @@ def _points(g: Generator, points) -> np.ndarray:
     return pts
 
 
-def _weighted_sum(w: np.ndarray, values: np.ndarray):
-    if values.ndim == 1:
-        return np.sum(w * values)
-    return np.sum(w[:, None] * values, axis=0)
+def _oriented(orientation: str, y, est):
+    """The arguments of the loss: (y, est) for D(y, est) on the left, (est, y) on the right."""
+    return (y, est) if orientation == "left" else (est, y)
+
+
+class _Evaluated(NamedTuple):
+    """Points x with phi(x), and grad phi(x) where a loss or a dual mean reads it."""
+
+    x: object
+    phi: object
+    grad: object
+
+
+def _evaluate(g: Generator, orientation: str, x, estimates: bool) -> _Evaluated:
+    """phi at x, and grad phi where the orientation's loss or dual mean reads it.
+
+    A loss takes grad phi at its second argument: the estimates on the left,
+    the other point (theta, a grid parameter or the center) on the right.
+    The left dual mean also reads grad phi of the estimates.
+    """
+    wants_grad = (orientation == "left") == estimates
+    return _Evaluated(x, g.value(x), g.gradient(x) if wants_grad else None)
+
+
+def _loss(g: Generator, orientation: str, est: _Evaluated, y: _Evaluated):
+    """D(y, est) for the left orientation, D(est, y) for the right.
+
+    The same arithmetic as bregman_div, from phi and grad phi evaluated once.
+    """
+    a, b = _oriented(orientation, y, est)
+    return _div(g, a.x, b.x, a.phi - b.phi, b.grad)
+
+
+def _merged_mean(ka: int, ma: float, kb: int, mb: float) -> float:
+    # the mean of a plus a correction: two equal means merge to that mean exactly
+    return ma + (mb - ma) * (kb / (ka + kb))
+
+
+@dataclass(frozen=True)
+class BregmanInfo:
+    """Center and summed divergence to it (the Bregman information) of estimates.
+
+    Left orientation: the center c is grad phi*(mean grad phi(delta)) and
+    v = sum D(c, delta_i).  Right: c is the plain mean and v = sum D(delta_i, c).
+    Under a probability vector w the sums are weighted by w and k is 1.0, so
+    v is the expected divergence.  The compensation identity
+    sum D(y, delta_i) = v + k D(y, c) (mirrored on the right) merges two sets
+    exactly: the merged v is the two v plus nonnegative k D terms, so nothing
+    cancels.
+    """
+
+    g: Generator
+    orientation: str
+    k: float = 0  # number of points; 1.0 under a probability vector
+    mean: object = 0.0  # mean dual value on the left, mean estimate on the right
+    center: object = 0.0
+    v: float = 0.0
+
+    @staticmethod
+    def _center(g: Generator, orientation: str, est: _Evaluated, weights=None):
+        """(mean, center) of the points est.x, plainly averaged or weighted by weights.
+
+        The mean is of grad phi(x) on the left, where the center is its
+        inverse gradient, and of x itself on the right, where it is the center.
+        """
+        values = est.grad if orientation == "left" else est.x
+        if weights is None:
+            mean = np.mean(values, axis=0)
+        elif values.ndim == 1:
+            mean = np.sum(weights * values)
+        else:
+            mean = np.sum(weights[:, None] * values, axis=0)
+        mean = _scalarize(mean)
+        return mean, _scalarize(g.invert_gradient(mean)) if orientation == "left" else mean
+
+    @classmethod
+    def of(cls, g: Generator, orientation: str, est: _Evaluated, weights=None) -> "BregmanInfo":
+        """Info of the points est.x, scalars or the rows of an (m, d) array.
+
+        phi and (left) grad phi are read from est.  weights, if given, is a
+        probability vector over the points.
+        """
+        if est.x.size == 0:
+            return cls(g, orientation)
+        mean, center = cls._center(g, orientation, est, weights)
+        loss = _loss(g, orientation, est, _evaluate(g, orientation, center, False))
+        if weights is None:
+            return cls(g, orientation, len(est.x), mean, center, float(np.sum(loss)))
+        return cls(g, orientation, 1.0, mean, center, float(np.sum(weights * loss)))
+
+    def _excess(self, y: float) -> float:
+        """Summed divergence of the set to y (left: from y) minus v."""
+        if self.orientation == "right":
+            return self.k * float(bregman_div(self.g, self.center, y))
+        # k D(y, c) is exact only if grad phi(c) equals the mean dual value;
+        # the residual term keeps it exact when the inverse gradient is not
+        # (the Newton fallback)
+        resid = float(self.g.gradient(self.center)) - self.mean
+        return self.k * (float(bregman_div(self.g, y, self.center)) + resid * (y - self.center))
+
+    def __add__(self, other: "BregmanInfo") -> "BregmanInfo":
+        if other.k == 0:
+            return self
+        if self.k == 0:
+            return other
+        mean = _merged_mean(self.k, self.mean, other.k, other.mean)
+        center = float(self.g.invert_gradient(mean)) if self.orientation == "left" else mean
+        v = self.v + other.v + self._excess(center) + other._excess(center)
+        return BregmanInfo(self.g, self.orientation, self.k + other.k, mean, center, v)
 
 
 def bregman_mean(g: Generator, points, weights=None):
     """The point whose gradient image is the weighted average of the inputs'."""
     pts = _points(g, points)
     w = _weights(weights, pts.shape[0])
-    avg_dual = _weighted_sum(w, np.asarray(g.gradient(pts)))
-    return _scalarize(g.invert_gradient(avg_dual))
+    return BregmanInfo._center(g, "left", _Evaluated(pts, None, g.gradient(pts)), w)[1]
 
 
 @dataclass(frozen=True)
@@ -128,6 +241,16 @@ class DecompositionReport:
     center: object
 
 
+def _decompose(g: Generator, orientation: str, y, points, weights) -> DecompositionReport:
+    """Split the weighted loss of the points against y at the orientation's center."""
+    pts = _points(g, points)
+    w = _weights(weights, pts.shape[0])
+    info = BregmanInfo.of(g, orientation, _evaluate(g, orientation, pts, True), w)
+    total = float(np.sum(w * bregman_div(g, *_oriented(orientation, y, pts))))
+    bias = float(bregman_div(g, *_oriented(orientation, y, info.center)))
+    return DecompositionReport(orientation, total, bias, info.v, info.center)
+
+
 def decompose_left(g: Generator, x, points, weights=None) -> DecompositionReport:
     """Split sum_i w_i D(x, x_i) at the dual-averaged center.
 
@@ -135,21 +258,9 @@ def decompose_left(g: Generator, x, points, weights=None) -> DecompositionReport
     the weighted divergence from the center to the points; the three numbers
     satisfy total = bias + variance up to floating point.
     """
-    pts = _points(g, points)
-    w = _weights(weights, pts.shape[0])
-    center = bregman_mean(g, pts, w)
-    total = float(np.sum(w * bregman_div(g, x, pts)))
-    bias = float(bregman_div(g, x, center))
-    variance = float(np.sum(w * bregman_div(g, center, pts)))
-    return DecompositionReport("left", total, bias, variance, center)
+    return _decompose(g, "left", x, points, weights)
 
 
 def decompose_right(g: Generator, y, points, weights=None) -> DecompositionReport:
     """Split sum_i w_i D(x_i, y) at the ordinary weighted mean."""
-    pts = _points(g, points)
-    w = _weights(weights, pts.shape[0])
-    center = _scalarize(_weighted_sum(w, pts))
-    total = float(np.sum(w * bregman_div(g, pts, y)))
-    bias = float(bregman_div(g, center, y))
-    variance = float(np.sum(w * bregman_div(g, pts, center)))
-    return DecompositionReport("right", total, bias, variance, center)
+    return _decompose(g, "right", y, points, weights)

@@ -248,12 +248,13 @@ def first_k_estimator(model, g: Generator | None, k: int) -> Estimator:
         tags = base.unbiasedness
     else:
         fn = lambda x: _row_sum(x[..., :k]) / k
-        tags = (
-            frozenset({"type2"})
-            if getattr(model, "family", None) in ("exp", "normal")
-            else frozenset()
-        )
+        tags = _mean_tags(model)
     return Estimator(f"first-k:{k}", fn, tags, requires_min_n=k)
+
+
+def _mean_tags(model) -> frozenset:
+    """Claims of a plain sample mean: mean-unbiased where the model's mean is theta."""
+    return frozenset({"type2"}) if getattr(model, "family", None) in ("exp", "normal") else frozenset()
 
 
 def const_estimator(value: float) -> Estimator:
@@ -264,24 +265,22 @@ def const_estimator(value: float) -> Estimator:
 def resolve_estimator(spec: str, model, g: Generator | None = None) -> Estimator:
     """Build an estimator from a selection string.
 
-    Accepted forms: "classical", "type1", "first-k:<k>", "const:<v>".
+    Accepted forms: "classical", "mean" (the sample mean), "type1",
+    "first-k:<k>", "const:<v>".
     """
     if spec == "classical":
         return model.classical_umvue
+    if spec == "mean":
+        return Estimator("mean", lambda x: _row_sum(x) / x.shape[-1], _mean_tags(model))
     if spec == "type1":
         if g is None:
             raise ConfigError("the type1 estimator needs a generator")
         return build_type1_umvue(model, g)
-    if spec.startswith("first-k:"):
+    kind, colon, arg = spec.partition(":")
+    if colon and kind in ("first-k", "const"):
         try:
-            k = int(spec.split(":", 1)[1])
+            value = int(arg) if kind == "first-k" else float(arg)
         except ValueError:
-            raise ConfigError(f"bad first-k spec {spec!r}") from None
-        return first_k_estimator(model, g, k)
-    if spec.startswith("const:"):
-        try:
-            v = float(spec.split(":", 1)[1])
-        except ValueError:
-            raise ConfigError(f"bad const spec {spec!r}") from None
-        return const_estimator(v)
+            raise ConfigError(f"bad {kind} spec {spec!r}") from None
+        return first_k_estimator(model, g, value) if kind == "first-k" else const_estimator(value)
     raise ConfigError(f"unknown estimator {spec!r}")

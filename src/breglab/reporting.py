@@ -47,8 +47,6 @@ def _plain(v):
 
 def rows_for(report) -> list[dict]:
     """CSV rows for a report: one row, except grid reports expand per point."""
-    if isinstance(report, dict):
-        return [record(report)]
     if isinstance(report, LehmannGridReport):
         base = record(report)
         grid = base.pop("grid")

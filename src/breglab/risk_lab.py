@@ -3,7 +3,8 @@
 Replicate streams are fully determined by (model, theta, n, replicates,
 seed).  Every report is a reduction of per-chunk partials: chunk c draws the
 rows keyed by derive_key(seed, c), runs the estimators on them and keeps only
-small summaries (counts, means, centred power sums, Bregman information),
+small summaries (counts, means, centred power sums, and the Bregman
+information of divergence.BregmanInfo, which owns the bias/variance split),
 which merge in chunk order through the fixed pairwise tree of
 prng.pairwise_sum.  Workers only schedule chunks, so every report is bitwise
 identical for any worker count.  Each worker thread draws its chunks into
@@ -30,11 +31,10 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .divergence import _div, bregman_div
+from .divergence import BregmanInfo, _evaluate, _loss, _merged_mean, _oriented, bregman_div
 from .errors import ConfigError, NumericError
 from .estimators import Estimator
 from .generators import Generator
@@ -126,22 +126,17 @@ class ComparisonReport:
     valid: bool
 
 
-def _check_orientation(orientation: str) -> str:
+def _check_setup(
+    model: Model, theta, n: int, estimators, g: Generator | None, replicates: int,
+    orientation: str = "left",
+):
     if orientation not in ORIENTATIONS:
         raise ConfigError(f"orientation must be one of {ORIENTATIONS}, got {orientation!r}")
-    return orientation
-
-
-def _check_scalar_generator(g: Generator) -> None:
-    if g.dimension != 1:
-        raise ConfigError("scalar-parameter models need a one-dimensional generator")
-
-
-def _check_setup(model: Model, theta, n: int, estimators, g: Generator | None, replicates: int):
     theta = float(theta)
     model.param_space.check(np.asarray(theta), "theta")
     if g is not None:
-        _check_scalar_generator(g)
+        if g.dimension != 1:
+            raise ConfigError("scalar-parameter models need a one-dimensional generator")
         g.domain.check(np.asarray(theta), "theta")
     if int(replicates) < MIN_REPLICATES:
         raise ConfigError(f"replicates must be >= {MIN_REPLICATES}, got {replicates}")
@@ -151,11 +146,6 @@ def _check_setup(model: Model, theta, n: int, estimators, g: Generator | None, r
         if int(n) < e.requires_min_n:
             raise ConfigError(f"estimator '{e.id}' needs n >= {e.requires_min_n}, got {n}")
     return theta
-
-
-def _merged_mean(ka: int, ma: float, kb: int, mb: float) -> float:
-    # the mean of a plus a correction: two equal means merge to that mean exactly
-    return ma + (mb - ma) * (kb / (ka + kb))
 
 
 @dataclass(frozen=True)
@@ -229,86 +219,6 @@ class Moments:
         # zero-variance values have no defined kurtosis; report 0 so reports
         # stay strict JSON instead of carrying NaN
         return 0.0 if self.m2 == 0.0 else self.k * self.m4 / (self.m2 * self.m2) - 3.0
-
-
-@dataclass(frozen=True)
-class BregmanInfo:
-    """Center and summed divergence to it (the Bregman information) of estimates.
-
-    Left orientation: the center c is grad phi*(mean grad phi(delta)) and
-    v = sum D(c, delta_i).  Right: c is the plain mean and v = sum D(delta_i, c).
-    The compensation identity sum D(y, delta_i) = v + k D(y, c) (mirrored on
-    the right) merges two sets exactly: the merged v is the two v plus
-    nonnegative k D terms, so nothing cancels.
-    """
-
-    g: Generator
-    orientation: str
-    k: int = 0
-    mean: float = 0.0  # mean dual value on the left, mean estimate on the right
-    center: float = 0.0
-    v: float = 0.0
-
-    @classmethod
-    def of(cls, g: Generator, orientation: str, est: "_Evaluated") -> "BregmanInfo":
-        """Info of the estimates est.x, from phi and (left) grad phi evaluated at them."""
-        if est.x.size == 0:
-            return cls(g, orientation)
-        if orientation == "left":
-            mean = float(np.mean(est.grad))
-            center = float(g.invert_gradient(mean))
-        else:
-            mean = center = float(np.mean(est.x))
-        v = float(np.sum(_loss(g, orientation, est, _evaluate(g, orientation, center, False))))
-        return cls(g, orientation, est.x.size, mean, center, v)
-
-    def _excess(self, y: float) -> float:
-        """Summed divergence of the set to y (left: from y) minus v."""
-        if self.orientation == "right":
-            return self.k * float(bregman_div(self.g, self.center, y))
-        # k D(y, c) is exact only if grad phi(c) equals the mean dual value;
-        # the residual term keeps it exact when the inverse gradient is not
-        # (the Newton fallback)
-        resid = float(self.g.gradient(self.center)) - self.mean
-        return self.k * (float(bregman_div(self.g, y, self.center)) + resid * (y - self.center))
-
-    def __add__(self, other: "BregmanInfo") -> "BregmanInfo":
-        if other.k == 0:
-            return self
-        if self.k == 0:
-            return other
-        mean = _merged_mean(self.k, self.mean, other.k, other.mean)
-        center = float(self.g.invert_gradient(mean)) if self.orientation == "left" else mean
-        v = self.v + other.v + self._excess(center) + other._excess(center)
-        return BregmanInfo(self.g, self.orientation, self.k + other.k, mean, center, v)
-
-
-class _Evaluated(NamedTuple):
-    """Points x with phi(x), and grad phi(x) where a loss or a dual mean reads it."""
-
-    x: object
-    phi: object
-    grad: object
-
-
-def _evaluate(g: Generator, orientation: str, x, estimates: bool) -> _Evaluated:
-    """phi at x, and grad phi where the orientation's loss or dual mean reads it.
-
-    A loss takes grad phi at its second argument: the estimates on the left,
-    the other point (theta, a grid parameter or the center) on the right.
-    The left dual mean also reads grad phi of the estimates.
-    """
-    wants_grad = (orientation == "left") == estimates
-    return _Evaluated(x, g.value(x), g.gradient(x) if wants_grad else None)
-
-
-def _loss(g: Generator, orientation: str, est: _Evaluated, y: _Evaluated):
-    """D(y, est) for the left orientation, D(est, y) for the right.
-
-    The same arithmetic as bregman_div, from phi and grad phi evaluated once.
-    """
-    a, b = (y, est) if orientation == "left" else (est, y)
-    return _div(g, a.x, b.x, a.phi - b.phi, b.grad)
 
 
 def _kept(values, keep):
@@ -405,8 +315,7 @@ def estimate_risk(
     generator's domain are dropped and counted; the report is flagged invalid
     when more than 0.1 percent drop.
     """
-    _check_orientation(orientation)
-    theta = _check_setup(model, theta, n, [estimator], g, replicates)
+    theta = _check_setup(model, theta, n, [estimator], g, replicates, orientation)
 
     y = _evaluate(g, orientation, theta, False)
 
@@ -419,14 +328,13 @@ def estimate_risk(
 
     losses, info = _stream(model, theta, n, [estimator], replicates, seed, workers, reduce)
     common = _finalize(model, theta, n, replicates, seed, losses.k)
-    a, b = (theta, info.center) if orientation == "left" else (info.center, theta)
     return RiskReport(
         **common,
         generator_id=g.id,
         estimator_id=estimator.id,
         orientation=orientation,
         risk=losses.mean,
-        bias_term=float(bregman_div(g, a, b)),
+        bias_term=float(bregman_div(g, *_oriented(orientation, theta, info.center))),
         variance_term=info.v / info.k,
         center=info.center,
         se_risk=losses.se,
@@ -545,8 +453,7 @@ def lehmann_grid_check(
     theta must be a grid member.  Ties at the minimum are broken toward
     theta and recorded explicitly.
     """
-    _check_orientation(orientation)
-    theta = _check_setup(model, theta, n, [estimator], g, replicates)
+    theta = _check_setup(model, theta, n, [estimator], g, replicates, orientation)
     grid = [float(v) for v in grid]
     matches = [
         i for i, v in enumerate(grid) if abs(v - theta) <= _GRID_MATCH_TOL * (1.0 + abs(theta))
@@ -603,9 +510,8 @@ def compare_estimators(
     per-replicate losses gives the paired standard error.  Replicates where
     either estimate leaves the generator's domain are dropped from both arms.
     """
-    _check_orientation(orientation)
     e1, e2 = estimator_pair
-    theta = _check_setup(model, theta, n, [e1, e2], g, replicates)
+    theta = _check_setup(model, theta, n, [e1, e2], g, replicates, orientation)
 
     y = _evaluate(g, orientation, theta, False)
 

@@ -13,7 +13,7 @@ import breglab
 from breglab import (
     DiscreteModel,
     negative_log,
-    resolve_discrete_estimator,
+    resolve_estimator,
     verify_decompositions,
     verify_rb_inequality,
 )
@@ -365,7 +365,7 @@ class TestOracleCommand:
         )
         assert code == 0
         dm, g = DiscreteModel((1.0, 2.0, 3.0), 4), negative_log(1)
-        e = resolve_discrete_estimator("first-k:2")
+        e = resolve_estimator("first-k:2", dm, g)
         rb = verify_rb_inequality(dm, g, e, grid)
         rows = json.loads(path.read_text())["reports"]
         assert len(rows) == len(grid)
@@ -454,3 +454,125 @@ class TestDeterminismAcrossWorkers:
             assert code == 0
             paths.append(path.read_bytes())
         assert paths[0] == paths[1] == paths[2]
+
+
+RISK_FLAGS = {
+    "model": "exp", "gen": "neglog", "estimator": "classical",
+    "theta": 2.0, "n": 5, "replicates": 2000,
+}
+
+
+def run_config(capsys, tmp_path, command, values, *argv):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(values))
+    return run(capsys, command, "--config", str(cfgfile), *argv)
+
+
+class TestMalformedValues:
+    """A malformed option value exits 2 naming the option, before anything runs."""
+
+    def test_bad_float_flag(self, capsys):
+        code, out, err = run(
+            capsys, "risk", "--model", "exp", "--gen", "neglog", "--estimator", "classical",
+            "--theta", "abc", "--n", "5", "-M", "2000",
+        )
+        assert code == 2 and "error:" in err and "--theta" in err
+        assert "config:" not in out
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n", "five"), ("theta", [1, 2]), ("seed", 1.7), ("format", "xml"), ("workers", True)],
+    )
+    def test_bad_config_value(self, capsys, tmp_path, key, value):
+        code, out, err = run_config(capsys, tmp_path, "risk", {**RISK_FLAGS, key: value})
+        assert code == 2 and "error:" in err and f"--{key}" in err
+        assert "config:" not in out
+
+    def test_bad_grid_text_in_config(self, capsys, tmp_path):
+        values = {
+            "kind": "type2", "model": "exp", "estimator": "classical",
+            "theta": [1, 2], "n": 5, "replicates": 2000,
+        }
+        code, out, err = run_config(capsys, tmp_path, "check", values)
+        assert code == 2 and "--theta" in err
+        assert "config:" not in out
+
+    @pytest.mark.parametrize("argv", [
+        ("oracle", "--m", "3", "--n", "2", "--gen", "neglog", "--estimator", "mean",
+         "--theta", ""),
+        ("check", "--kind", "type1", "--model", "exp", "--gen", "neglog", "--estimator",
+         "type1", "--theta", ",", "--n", "5", "-M", "2000"),
+    ], ids=["oracle", "check"])
+    def test_empty_theta_grid_exit_2(self, capsys, argv):
+        # the oracle crashed on an empty grid and check ran nothing and exited 0
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and "--theta" in err
+        assert "config:" not in out
+
+    def test_integral_float_is_an_int(self, capsys, tmp_path):
+        code, out, _ = run_config(capsys, tmp_path, "risk", {**RISK_FLAGS, "seed": 3.0})
+        assert code == 0 and '"seed": 3' in out
+
+    def test_unknown_config_key_exit_2(self, capsys, tmp_path):
+        # a typo would otherwise run silently with the default seed
+        code, out, err = run_config(capsys, tmp_path, "risk", {**RISK_FLAGS, "sead": 5})
+        assert code == 2 and "sead" in err
+        assert "config:" not in out
+
+    def test_keys_of_other_subcommands_allowed(self, capsys, tmp_path):
+        shared = {**RISK_FLAGS, "kind": "type2", "example": "exp", "m": 3, "e1": "type1"}
+        code, out, _ = run_config(capsys, tmp_path, "risk", shared)
+        assert code == 0 and "config:" in out
+        assert '"kind"' not in out and '"example"' not in out
+
+
+def test_oracle_first_k_beyond_n_exit_2(capsys):
+    # the Monte Carlo commands reject it too; a mean of fewer than k values is not first-k
+    code, _, err = run(
+        capsys, "oracle", "--m", "3", "--n", "2", "--gen", "neglog", "--estimator", "first-k:3",
+        "--theta", "1.0",
+    )
+    assert code == 2 and "needs n >= 3" in err
+
+
+def test_oracle_m_zero_reports_the_empty_support(capsys):
+    code, _, err = run(
+        capsys, "oracle", "--m", "0", "--n", "3", "--gen", "neglog", "--estimator", "mean",
+        "--theta", "1.0",
+    )
+    assert code == 2 and "support must be non-empty" in err
+
+
+# Each subcommand once from flags only and once from a config file only.  Flag
+# values are text; the config file gives the same values as JSON.
+PARITY_RUNS = {
+    "divergence": {"gen": "neglog", "x": "2", "y": "1"},
+    "risk": RISK_FLAGS,
+    "check": {
+        "kind": "type1", "model": "exp", "gen": "neglog", "estimator": "type1",
+        "theta": "1,2", "n": 5, "replicates": 2000, "seed": 3,
+    },
+    "compare": {
+        "model": "exp", "gen": "neglog", "e1": "type1", "e2": "classical",
+        "theta": 2.0, "n": 5, "replicates": 2000, "orientation": "right", "format": "csv",
+    },
+    "oracle": {
+        "m": 3, "n": 3, "gen": "negentropy", "estimator": "first-k:2", "theta": "0.5,1",
+        "workers": 2,
+    },
+    "reproduce": {"example": "exp", "replicates": 20000, "seed": 7},
+}
+
+
+@pytest.mark.parametrize("command", sorted(PARITY_RUNS))
+def test_config_file_and_flags_echo_the_same_config(capsys, tmp_path, command):
+    values = PARITY_RUNS[command]
+    flags = []
+    for key, value in values.items():
+        flags += [f"--{key}", str(value)]
+    code_flags, out_flags, _ = run(capsys, command, *flags)
+    code_file, out_file, _ = run_config(capsys, tmp_path, command, values)
+    assert code_flags == code_file == 0
+    echoed = [line for line in out_flags.splitlines() if line.startswith("config:")]
+    assert len(echoed) == 1
+    assert echoed == [line for line in out_file.splitlines() if line.startswith("config:")]

@@ -17,13 +17,15 @@ from breglab import (
     Estimator,
     bregman_div,
     calibrated_type1_estimator,
+    decompose_left,
+    decompose_right,
     dual_transport,
     exact_expectation,
     exact_rao_blackwell,
     mahalanobis,
     negative_entropy,
     negative_log,
-    resolve_discrete_estimator,
+    resolve_estimator,
     squared_euclidean,
     symmetrize,
     verify_decompositions,
@@ -36,7 +38,9 @@ from breglab.generators import SeparableGenerator
 
 FIRST = Estimator("first", lambda x: x[..., 0])
 HEAD2 = Estimator("head2", lambda x: np.mean(x[..., :2], axis=-1))
-MEAN = resolve_discrete_estimator("mean")
+# the oracle command resolves estimator specs on its DiscreteModel
+SPEC_MODEL = DiscreteModel((1.0, 2.0, 3.0), 3)
+MEAN = resolve_estimator("mean", SPEC_MODEL)
 
 ORACLE_GENERATORS = [
     squared_euclidean(1),
@@ -467,7 +471,7 @@ class TestLawReuse:
 
         monkeypatch.setattr(discrete_oracle, "_estimate_law", spied)
         g = squared_euclidean(1)
-        zero, negzero = (resolve_discrete_estimator(s) for s in ("const:0", "const:-0"))
+        zero, negzero = (resolve_estimator(s, SPEC_MODEL) for s in ("const:0", "const:-0"))
         assert negzero.id == "const:-0"
         dm = DiscreteModel(self.SUPPORT, 3)
         for e in (zero, negzero, zero, negzero):
@@ -601,7 +605,7 @@ class TestLaw:
         n=st.integers(min_value=1, max_value=4),
         theta=st.floats(min_value=0.05, max_value=5.0),
         g=st.sampled_from([squared_euclidean(1), negative_log(1), negative_entropy(1)]),
-        e=st.sampled_from([FIRST, HEAD2, MEAN, resolve_discrete_estimator("const:1.5")]),
+        e=st.sampled_from([FIRST, HEAD2, MEAN, resolve_estimator("const:1.5", SPEC_MODEL)]),
     )
     def test_checks_match_enumeration(self, support, n, theta, g, e):
         dm = DiscreteModel(tuple(support), n)
@@ -653,7 +657,7 @@ class TestLaw:
         # a -0.0 / 0.0 tie keeps the sign of its first outcome
         assert np.array_equal(np.signbit(law.atoms), np.signbit(ranked[starts]))
 
-    @pytest.mark.parametrize("e", [FIRST, MEAN, resolve_discrete_estimator("const:2")],
+    @pytest.mark.parametrize("e", [FIRST, MEAN, resolve_estimator("const:2", SPEC_MODEL)],
                              ids=lambda e: e.id)
     def test_probabilities_are_pairwise_sums(self, e):
         # 10^5 outcomes: summed one after another, an atom's probability would
@@ -690,6 +694,12 @@ class TestLaw:
                 arr[0] = 0
 
 
+SPLIT_GENERATORS = {
+    **{g.id: g for g in ORACLE_GENERATORS},
+    "negentropy-newton": negative_entropy(1).without_closed_forms(),
+}
+
+
 class TestDecompositions:
     @pytest.mark.parametrize("g", ORACLE_GENERATORS, ids=lambda g: g.id)
     def test_residuals_close(self, g):
@@ -718,6 +728,24 @@ class TestDecompositions:
                 np.sum(dm.outcome_weights(theta) * np.asarray(dual_transport(g, theta, delta)))
             )
             assert abs(dual - primal) <= 1e-12 * (1.0 + abs(primal))
+
+    @pytest.mark.parametrize("gen", sorted(SPLIT_GENERATORS))
+    @pytest.mark.parametrize("e", [FIRST, HEAD2, MEAN], ids=lambda e: e.id)
+    def test_one_split_with_the_pointwise_decompositions(self, gen, e):
+        # the oracle's split is decompose_left/right over the estimate's law
+        g = SPLIT_GENERATORS[gen]
+        dm = DiscreteModel((0.5, 1.5, 2.5, 4.0), 4)
+        law = discrete_oracle._estimate_law(dm, g, e, "estimate")[1]
+        for theta in (0.5, 1.0, 2.0):
+            chk = verify_decompositions(dm, g, e, theta)
+            p = law.probabilities_at(dm, theta)
+            for side, fn in (("left", decompose_left), ("right", decompose_right)):
+                rep = fn(g, theta, law.atoms, p)
+                assert rep.orientation == side
+                assert rep.total == getattr(chk, f"risk_{side}")
+                assert rep.bias_term == getattr(chk, f"bias_{side}")
+                assert rep.variance_term == getattr(chk, f"variance_{side}")
+                assert rep.center == getattr(chk, f"center_{side}")
 
     def test_estimate_must_stay_in_domain(self):
         dm = DiscreteModel((1.0, 2.0), 2)
@@ -752,12 +780,12 @@ class TestCalibratedEstimator:
 class TestResolveDiscreteEstimator:
     def test_strings(self):
         x = np.array([[1.0, 2.0, 3.0]])
-        npt.assert_allclose(resolve_discrete_estimator("mean")(x), 2.0)
-        npt.assert_allclose(resolve_discrete_estimator("classical")(x), 2.0)
-        npt.assert_allclose(resolve_discrete_estimator("first-k:2")(x), 1.5)
-        npt.assert_allclose(resolve_discrete_estimator("const:0.7")(x), 0.7)
+        npt.assert_allclose(resolve_estimator("mean", SPEC_MODEL)(x), 2.0)
+        npt.assert_allclose(resolve_estimator("classical", SPEC_MODEL)(x), 2.0)
+        npt.assert_allclose(resolve_estimator("first-k:2", SPEC_MODEL)(x), 1.5)
+        npt.assert_allclose(resolve_estimator("const:0.7", SPEC_MODEL)(x), 0.7)
 
     def test_errors(self):
         for spec in ("first-k:zero", "first-k:0", "const:x", "median"):
             with pytest.raises(ConfigError):
-                resolve_discrete_estimator(spec)
+                resolve_estimator(spec, SPEC_MODEL)

@@ -19,6 +19,7 @@ from breglab import (
     negative_log,
     squared_euclidean,
 )
+from breglab.divergence import BregmanInfo, _evaluate
 from breglab.generators import DomainSpec, SeparableGenerator, _ScalarRule
 
 A2 = np.array([[2.0, 0.5], [0.5, 1.0]])
@@ -212,3 +213,29 @@ class TestDecompositions:
             bregman_mean(squared_euclidean(2), np.ones((3, 4)))
         with pytest.raises(ConfigError):
             bregman_mean(squared_euclidean(1), np.ones((3, 1)))
+
+
+class TestBregmanInfo:
+    """The one bias/variance split, plainly averaged or under a probability vector."""
+
+    RNG = np.random.default_rng(11)
+    CASES = [
+        (squared_euclidean(1), RNG.uniform(0.5, 4.0, 12)),
+        (negative_log(1), RNG.uniform(0.5, 4.0, 12)),
+        (negative_entropy(1), RNG.uniform(0.5, 4.0, 12)),
+        (negative_entropy(1).without_closed_forms(), RNG.uniform(0.5, 4.0, 12)),
+        (mahalanobis(A2), RNG.uniform(0.5, 4.0, (12, 2))),
+        (negative_log(2), RNG.uniform(0.5, 4.0, (12, 2))),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    @pytest.mark.parametrize("orientation", ["left", "right"])
+    def test_uniform_weights_match_unweighted(self, case, orientation):
+        g, pts = self.CASES[case]
+        est = _evaluate(g, orientation, pts, True)
+        plain = BregmanInfo.of(g, orientation, est)
+        weighted = BregmanInfo.of(g, orientation, est, np.full(len(pts), 1.0 / len(pts)))
+        assert plain.k == len(pts) and weighted.k == 1.0
+        npt.assert_allclose(weighted.mean, plain.mean, rtol=1e-15, atol=0)
+        npt.assert_allclose(weighted.center, plain.center, rtol=1e-15, atol=0)
+        npt.assert_allclose(weighted.v, plain.v / plain.k, rtol=1e-15, atol=0)
