@@ -12,7 +12,6 @@ from .discrete_oracle import (
     MAX_OUTCOMES,
     RESIDUAL_TOL,
     DiscreteModel,
-    calibrated_type1_estimator,
     exact_expectation,
     exact_rao_blackwell,
     verify_decompositions,
@@ -39,16 +38,12 @@ from .errors import (
 )
 from .estimators import (
     EXACT,
-    DualEstimator,
     Estimator,
     build_type1_umvue,
     const_estimator,
     first_k_estimator,
-    from_dual,
-    rao_blackwellize,
     resolve_estimator,
     symmetrize,
-    to_dual,
 )
 from .generators import (
     DomainSpec,
@@ -66,7 +61,6 @@ from .models import (
     LogNormalModel,
     Model,
     NormalModel,
-    Sample,
     resolve_model,
 )
 from .risk_lab import (

@@ -330,7 +330,7 @@ def cmd_reproduce(args) -> int:
 
     # the four verdicts share one pass over the derive_key(seed, 0) stream,
     # exactly the stream check_type1/type2_unbiased would each draw
-    checks = [(e, gen, None) for e in (e_type1, e_classical) for gen in (g, None)]
+    checks = [(e, gen) for e in (e_type1, e_classical) for gen in (g, None)]
     verdicts = _unbiasedness_checks(model, [theta], checks, n, replicates, seed, workers)
     names = ("type1", "type1", "classical", "classical")
     rows = list(zip(names, verdicts, (True, False, False, True)))

@@ -3,10 +3,9 @@
 Expectations here are exact sums over the enumerated outcome space, so they
 act as an oracle for the Monte Carlo lab: decomposition identities must close
 to 1e-12 and symmetrization must never increase risk.  The outcome space is
-enumerated in lexicographic support order, once for a few recent
-(support, n).  exact_expectation
-sums one block per leading coordinate and combines blocks with the
-fixed-shape pairwise tree, so threaded and serial results agree bitwise.
+enumerated in lexicographic support order, first coordinate slowest, once for
+a few recent (support, n).  exact_expectation sums one block per leading
+coordinate and combines blocks with the fixed-shape pairwise tree.
 
 The checks sum over laws instead of outcomes.  An estimate takes few distinct
 values ("atoms") over the m^n outcomes, so each check pushes the outcome
@@ -28,6 +27,11 @@ check weighs the outcomes once per theta for both of its laws.
 outcome_values is shared, read-only, by every model with the same
 (support, n).
 
+Conditioning is one step, _condition: given a partition of the outcomes into
+equally likely cells, average the dual image grad phi(e) over each cell and
+map the cell mean back through the inverse gradient once per cell.  That is
+the type-I construction (grad phi)^-1(E[grad phi(e) | cell]).
+
 The exact Rao-Blackwell step conditions on the multiset of observations (the
 order statistic, sufficient under i.i.d. sampling).  Every ordering of a
 multiset is equally likely, so averaging the dual image over all n!
@@ -39,16 +43,15 @@ labelled without sorting any outcome row: a transition table maps (class of
 a length-k prefix, next symbol) to the class of the length-(k+1) prefix, and
 gathering it k = 1..n times labels the outcomes in enumeration order.  The
 labels and class sizes depend on (m, n) only and are cached read-only for a
-few recent (m, n).  Rao-Blackwell values are inverted once per class and
-their risk is summed over their own law.
+few recent (m, n).  The Rao-Blackwell values' risk is summed over their own
+law.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -110,26 +113,16 @@ class DiscreteModel:
     def outcome_count(self) -> int:
         return self.m**self.n
 
-    @cached_property
-    def outcome_index(self) -> np.ndarray:
-        """(m^n, n) support indices, lexicographic with the first coordinate slowest.
-
-        C-contiguous intp, filled one column at a time like outcome_values.
-        """
-        out = np.empty((self.outcome_count, self.n), dtype=np.intp)
-        _fill_columns(out.T, np.arange(self.m, dtype=np.intp))
-        return out
-
     @property
     def outcome_values(self) -> np.ndarray:
-        """(m^n, n) support values in outcome_index order, stored column-major.
+        """(m^n, n) support values, lexicographic with the first coordinate slowest.
 
-        Each coordinate is contiguous, so an estimator that reduces over the
-        n observations of every outcome (a mean, a sum, a leading coordinate)
-        runs as n vectorised column passes instead of m^n short rows.  For
-        n < 8 numpy sums such a reduction in the same order either way.  The
-        array is shared by every model with the same (support, n) and is
-        read-only.
+        Stored column-major: each coordinate is contiguous, so an estimator
+        that reduces over the n observations of every outcome (a mean, a sum,
+        a leading coordinate) runs as n vectorised column passes instead of
+        m^n short rows.  For n < 8 numpy sums such a reduction in the same
+        order either way.  The array is shared by every model with the same
+        (support, n) and is read-only.
         """
         return _outcome_values(self.support, self.n)
 
@@ -146,7 +139,7 @@ class DiscreteModel:
         return w / np.sum(w)
 
     def outcome_weights(self, theta) -> np.ndarray:
-        """Probability of each outcome row, in outcome_index order.
+        """Probability of each outcome row, in outcome_values order.
 
         Built as an n-fold outer product of the pmf, multiplied left to right
         exactly as a row-wise product of gathered pmf values would be.
@@ -159,7 +152,7 @@ class DiscreteModel:
 
 
 def _fill_columns(cols: np.ndarray, symbols: np.ndarray) -> None:
-    """Write outcome_index order into cols, shape (n, m^n), one coordinate per row.
+    """Write outcome_values order into cols, shape (n, m^n), one coordinate per row.
 
     Coordinate j repeats each of the m symbols m^(n-1-j) times, m^j times over.
     """
@@ -178,15 +171,12 @@ def _outcome_values(support: tuple, n: int) -> np.ndarray:
     return cols.T
 
 
-def _expect(dm: DiscreteModel, w: np.ndarray, per_outcome: np.ndarray, workers: int = 1):
+def _expect(dm: DiscreteModel, w: np.ndarray, per_outcome: np.ndarray):
     """Exact expectation of precomputed per-outcome values under weights w.
 
     w is dm.outcome_weights(theta).  One partial sum per leading-coordinate
-    block, merged with the pairwise tree; optionally threaded with identical
-    results.
+    block, merged with the pairwise tree.
     """
-    if int(workers) < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
     fv = np.asarray(per_outcome, dtype=float)
     if fv.shape[0] != dm.outcome_count:
         raise ConfigError(
@@ -194,21 +184,11 @@ def _expect(dm: DiscreteModel, w: np.ndarray, per_outcome: np.ndarray, workers: 
         )
     weighted = w * fv if fv.ndim == 1 else w[:, None] * fv
     block = dm.outcome_count // dm.m
-    spans = [(j * block, (j + 1) * block) for j in range(dm.m)]
-
-    def part(span):
-        return np.sum(weighted[span[0] : span[1]], axis=0)
-
-    if int(workers) > 1:
-        with ThreadPoolExecutor(max_workers=int(workers)) as pool:
-            partials = list(pool.map(part, spans))
-    else:
-        partials = [part(s) for s in spans]
-    out = pairwise_sum(partials)
+    out = pairwise_sum([np.sum(weighted[j * block : (j + 1) * block], axis=0) for j in range(dm.m)])
     return float(out) if np.ndim(out) == 0 else out
 
 
-def exact_expectation(dm: DiscreteModel, theta, fn, workers: int = 1):
+def exact_expectation(dm: DiscreteModel, theta, fn):
     """Exact expectation of fn over the enumerated outcome space.
 
     fn receives the full (m^n, n) outcome array and must return one value
@@ -217,7 +197,7 @@ def exact_expectation(dm: DiscreteModel, theta, fn, workers: int = 1):
     that writes into it raises ValueError instead of corrupting it.
     """
     values = np.asarray(fn(dm.outcome_values), dtype=float)
-    return _expect(dm, dm.outcome_weights(theta), values, workers)
+    return _expect(dm, dm.outcome_weights(theta), values)
 
 
 @dataclass(frozen=True)
@@ -303,6 +283,14 @@ def _mean(p: np.ndarray, values) -> float:
     return float(np.sum(p * values))
 
 
+def _grid(theta_grid) -> list[float]:
+    """The theta grid as floats; an empty grid is a ConfigError."""
+    grid = [float(theta) for theta in theta_grid]
+    if not grid:
+        raise ConfigError("the theta grid must not be empty")
+    return grid
+
+
 def _estimates(dm: DiscreteModel, e: Estimator) -> np.ndarray:
     """e on every outcome row, one float per outcome, contiguous.
 
@@ -344,7 +332,7 @@ def _estimate_law(dm: DiscreteModel, g: Generator, e: Estimator, label: str):
 
 @lru_cache(maxsize=4)
 def _multiset_classes(m: int, n: int):
-    """Multiset class of every outcome row, in outcome_index order, and class sizes.
+    """Multiset class of every outcome row, in outcome_values order, and class sizes.
 
     Classes are numbered like np.unique of the rows' sorted support indices:
     by their sorted index tuples in lexicographic order.  reps holds the
@@ -370,18 +358,15 @@ def _multiset_classes(m: int, n: int):
     return labels, counts
 
 
-def _rb_classes(dm: DiscreteModel, g: Generator, e: Estimator):
-    """Estimates, their law, grad phi at its atoms, and the Rao-Blackwell value of every class.
+def _condition(g: Generator, duals: np.ndarray, labels: np.ndarray, counts: np.ndarray):
+    """(grad phi)^-1 of the mean dual value in each cell of a partition of the outcomes.
 
-    The outcomes' dual values are averaged per multiset class and mapped back
-    through the inverse gradient once per class.  The domain is checked on
-    the full array, so its errors name outcome indices.
+    duals holds grad phi of the estimate on every outcome, labels the cell of
+    every outcome and counts the size of every cell.  The outcomes of a cell
+    must be equally likely, as the orderings of one multiset are, so the
+    plain mean is the conditional expectation; each cell is inverted once.
     """
-    base, law = _estimate_law(dm, g, e, "x")
-    grad = np.asarray(g.gradient(law.atoms), dtype=float)
-    cls, counts = _multiset_classes(dm.m, dm.n)
-    means = np.bincount(cls, weights=law.spread(grad)) / counts
-    return base, law, grad, np.asarray(g.invert_gradient(means), dtype=float)
+    return np.asarray(g.invert_gradient(np.bincount(labels, weights=duals) / counts), dtype=float)
 
 
 def _rb_id(g: Generator, e: Estimator) -> str:
@@ -402,7 +387,9 @@ def exact_rao_blackwell(dm: DiscreteModel, g: Generator, e: Estimator) -> Estima
     dm.n drawn from dm.support; any other value raises DomainError.
     """
     m, n = dm.m, dm.n
-    table = _rb_classes(dm, g, e)[3][_multiset_classes(m, n)[0]]
+    law = _estimate_law(dm, g, e, "x")[1]
+    cls, counts = _multiset_classes(m, n)
+    table = _condition(g, law.spread(g.gradient(law.atoms)), cls, counts)[cls]
     place = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
     support = np.asarray(dm.support)
 
@@ -460,8 +447,11 @@ def verify_rb_inequality(dm: DiscreteModel, g: Generator, e: Estimator, theta_gr
     estimator's values, with phi and grad phi taken once per atom for every
     theta.
     """
-    base, law, grad_base, rb_classes = _rb_classes(dm, g, e)
-    cls, _ = _multiset_classes(dm.m, dm.n)
+    grid = _grid(theta_grid)
+    base, law = _estimate_law(dm, g, e, "x")
+    grad_base = np.asarray(g.gradient(law.atoms), dtype=float)
+    cls, counts = _multiset_classes(dm.m, dm.n)
+    rb_classes = _condition(g, law.spread(grad_base), cls, counts)
     rb_atoms, rb_of_class = np.unique(rb_classes, return_inverse=True)
     rb_law = _law_of_labels(rb_atoms, rb_of_class[cls])
     scale = 1.0 + float(np.max(np.abs(law.atoms)))
@@ -471,7 +461,7 @@ def verify_rb_inequality(dm: DiscreteModel, g: Generator, e: Estimator, theta_gr
     base = _Evaluated(law.atoms, g.value(law.atoms), grad_base)
     rb = _evaluate(g, "left", rb_atoms, True)
     rows = []
-    for theta in map(float, theta_grid):
+    for theta in grid:
         w = dm.outcome_weights(theta)
         t = _evaluate(g, "left", theta, False)
         risk_base = _mean(law.probabilities_at(dm, theta, w), _loss(g, "left", base, t))
@@ -527,10 +517,11 @@ def verify_decompositions_grid(
     Each orientation's center and variance are BregmanInfo.of the atoms under
     their probabilities.  Each check equals verify_decompositions at its theta.
     """
+    grid = _grid(theta_grid)
     law = _estimate_law(dm, g, e, "estimate")[1]
     est = _evaluate(g, "left", law.atoms, True)
     checks = []
-    for theta in map(float, theta_grid):
+    for theta in grid:
         p = law.probabilities_at(dm, theta)
         # phi and grad phi of theta: the right loss reads both, the left phi only
         t = _evaluate(g, "right", theta, False)
@@ -548,23 +539,3 @@ def verify_decompositions_grid(
 def verify_decompositions(dm: DiscreteModel, g: Generator, e: Estimator, theta) -> DecompositionCheck:
     """verify_decompositions_grid at the single parameter theta."""
     return verify_decompositions_grid(dm, g, e, [theta])[0]
-
-
-def calibrated_type1_estimator(
-    dm: DiscreteModel, g: Generator, stat_fn, theta0, est_id="calibrated"
-) -> Estimator:
-    """Shift a statistic in dual space so its dual mean hits grad phi(theta0).
-
-    The shift is computed by exact enumeration at theta0, so the resulting
-    estimator is dual-unbiased at that single parameter value.  Raises at
-    evaluation time if a shifted dual value leaves the gradient's range.
-    stat_fn first receives dm.outcome_values, which is shared and read-only:
-    a stat_fn that writes into it raises ValueError instead of corrupting it.
-    """
-    duals = np.asarray(g.gradient(stat_fn(dm.outcome_values)), dtype=float)
-    shift = float(g.gradient(float(theta0))) - _expect(dm, dm.outcome_weights(theta0), duals)
-
-    def fn(x):
-        return np.asarray(g.invert_gradient(np.asarray(g.gradient(stat_fn(x))) + shift))
-
-    return Estimator(est_id, fn, frozenset(), 1)

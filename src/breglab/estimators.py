@@ -1,10 +1,12 @@
-"""Estimators, their dual-space images, and symmetrization.
+"""Estimators, the closed-form type-I registry, and symmetrization.
 
 An estimator maps a sample (last axis of an array) to a scalar estimate.
 Its dual image under a generator g is grad phi composed with the estimator.
 Averaging the dual image over permutations of the sample and mapping back
 through the inverse gradient never increases risk for losses of the form
-D(theta, delta); symmetrize() builds that improved estimator.
+D(theta, delta); symmetrize() builds that improved estimator by brute force,
+and discrete_oracle.exact_rao_blackwell computes it exactly on a finite
+support by conditioning on the multiset of observations.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ class Estimator:
     requires_min_n: int = 1
 
     def __call__(self, x):
-        arr = np.asarray(getattr(x, "observations", x), dtype=float)
+        arr = np.asarray(x, dtype=float)
         if arr.ndim < 1:
             raise ConfigError("estimator input must have a sample axis")
         if arr.shape[-1] < self.requires_min_n:
@@ -47,46 +49,6 @@ class Estimator:
                 f"estimator '{self.id}' needs n >= {self.requires_min_n}, got {arr.shape[-1]}"
             )
         return self.fn(arr)
-
-
-@dataclass(frozen=True)
-class DualEstimator:
-    """An estimator composed with a generator's gradient map."""
-
-    id: str
-    generator: Generator = field(repr=False)
-    fn: object = field(repr=False)
-    base: Estimator | None = None
-    requires_min_n: int = 1
-
-    def __call__(self, x):
-        arr = np.asarray(getattr(x, "observations", x), dtype=float)
-        if arr.ndim < 1 or arr.shape[-1] < self.requires_min_n:
-            raise ConfigError(f"dual estimator '{self.id}' needs n >= {self.requires_min_n}")
-        return self.fn(arr)
-
-
-def to_dual(g: Generator, e: Estimator) -> DualEstimator:
-    """Push an estimator through grad phi; estimates outside g's domain raise."""
-    return DualEstimator(
-        id=f"dual[{g.id}]({e.id})",
-        generator=g,
-        fn=lambda x: g.gradient(e.fn(x)),
-        base=e,
-        requires_min_n=e.requires_min_n,
-    )
-
-
-def from_dual(g: Generator, d) -> Estimator:
-    """Pull a dual-space map back through the inverse gradient."""
-    fn = d.fn if isinstance(d, DualEstimator) else d
-    min_n = d.requires_min_n if isinstance(d, DualEstimator) else 1
-    name = d.id if isinstance(d, DualEstimator) else getattr(d, "__name__", "dual")
-    return Estimator(
-        id=f"primal[{g.id}]({name})",
-        fn=lambda x: g.invert_gradient(fn(x)),
-        requires_min_n=min_n,
-    )
 
 
 @lru_cache(maxsize=None)
@@ -111,29 +73,15 @@ def _permutation_indices(n: int, budget, seed: int) -> np.ndarray:
     return np.argsort(rng.random((budget, n)), axis=1)
 
 
-def rao_blackwellize(d: DualEstimator, x, budget=EXACT, seed: int = 0):
-    """Average a dual estimator over permutations of one sample.
+def symmetrize(g: Generator, e: Estimator, budget=EXACT, seed: int = 0) -> Estimator:
+    """(grad phi)^-1 of the mean of grad phi(e) over permutations of each sample.
 
     With budget=EXACT all n! permutations are enumerated (n <= 8); an integer
-    budget averages that many seeded uniform permutations instead.
+    budget averages that many seeded uniform permutations instead.  The
+    returned estimator is permutation-invariant and carries over any type-I
+    unbiasedness claims of the base estimator (a dual-space average preserves
+    the dual-space mean).
     """
-    arr = np.asarray(getattr(x, "observations", x), dtype=float)
-    if arr.ndim != 1:
-        raise ConfigError("rao_blackwellize expects a single sample")
-    idx = _permutation_indices(arr.shape[0], budget, seed)
-    duals = np.asarray(d.fn(arr[idx]), dtype=float)
-    out = np.mean(duals, axis=0)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def symmetrize(g: Generator, e: Estimator, budget=EXACT, seed: int = 0) -> Estimator:
-    """Full pipeline: to dual, permutation-average, back to primal.
-
-    The returned estimator is permutation-invariant and carries over any
-    type-I unbiasedness claims of the base estimator (a dual-space average
-    preserves the dual-space mean).
-    """
-    d = to_dual(g, e)
     suffix = "perms=all" if budget == EXACT else f"perms={budget}"
 
     def fn(x):
@@ -145,7 +93,7 @@ def symmetrize(g: Generator, e: Estimator, budget=EXACT, seed: int = 0) -> Estim
         eta = np.empty(flat.shape[0])
         for start in range(0, flat.shape[0], block):
             sub = flat[start : start + block]
-            eta[start : start + sub.shape[0]] = np.mean(d.fn(sub[:, idx]), axis=-1)
+            eta[start : start + sub.shape[0]] = np.mean(g.gradient(e.fn(sub[:, idx])), axis=-1)
         return np.asarray(g.invert_gradient(eta.reshape(arr.shape[:-1])))
 
     return Estimator(
@@ -175,6 +123,11 @@ def _row_sum(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sample_mean(x: np.ndarray) -> np.ndarray:
+    """Mean over the last axis: _row_sum(x) / n, bitwise np.mean(x, axis=-1)."""
+    return _row_sum(x) / x.shape[-1]
+
+
 def _type1_exp_neglog(model) -> Estimator:
     return Estimator(
         "type1",
@@ -187,19 +140,14 @@ def _type1_exp_neglog(model) -> Estimator:
 def _type1_lognormal_negentropy(model) -> Estimator:
     return Estimator(
         "type1",
-        lambda x: np.exp(_row_sum(np.log(x)) / x.shape[-1]),
+        lambda x: np.exp(_sample_mean(np.log(x))),
         frozenset({"type1:negentropy"}),
         requires_min_n=1,
     )
 
 
 def _type1_normal_sqeuclid(model) -> Estimator:
-    return Estimator(
-        "type1",
-        lambda x: _row_sum(x) / x.shape[-1],
-        frozenset({"type1:sqeuclid", "type2"}),
-        requires_min_n=1,
-    )
+    return Estimator("type1", _sample_mean, frozenset({"type1:sqeuclid", "type2"}))
 
 
 _TYPE1_REGISTRY = {
@@ -247,7 +195,7 @@ def first_k_estimator(model, g: Generator | None, k: int) -> Estimator:
         fn = lambda x, _f=base.fn: _f(x[..., :k])
         tags = base.unbiasedness
     else:
-        fn = lambda x: _row_sum(x[..., :k]) / k
+        fn = lambda x: _sample_mean(x[..., :k])
         tags = _mean_tags(model)
     return Estimator(f"first-k:{k}", fn, tags, requires_min_n=k)
 
@@ -258,8 +206,12 @@ def _mean_tags(model) -> frozenset:
 
 
 def const_estimator(value: float) -> Estimator:
+    """The constant value, named const:<v:g>, or const:<repr(v)> where :g would round v."""
     v = float(value)
-    return Estimator(f"const:{v:g}", lambda x: np.full(x.shape[:-1], v), frozenset(), 1)
+    text = f"{v:g}"
+    if float(text) != v:
+        text = repr(v)
+    return Estimator(f"const:{text}", lambda x: np.full(x.shape[:-1], v), frozenset(), 1)
 
 
 def resolve_estimator(spec: str, model, g: Generator | None = None) -> Estimator:
@@ -271,7 +223,7 @@ def resolve_estimator(spec: str, model, g: Generator | None = None) -> Estimator
     if spec == "classical":
         return model.classical_umvue
     if spec == "mean":
-        return Estimator("mean", lambda x: _row_sum(x) / x.shape[-1], _mean_tags(model))
+        return Estimator("mean", _sample_mean, _mean_tags(model))
     if spec == "type1":
         if g is None:
             raise ConfigError("the type1 estimator needs a generator")

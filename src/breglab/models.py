@@ -20,33 +20,15 @@ process pays for loading it and exponential draws never do.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
-from .estimators import Estimator, _row_sum
+from .estimators import Estimator, _sample_mean
 from .generators import DomainSpec
 from .prng import derive_key, open_uniforms, philox
 
 CHUNK_ROWS = 65536
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One i.i.d. sample of scalar observations."""
-
-    observations: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        arr = np.asarray(self.observations, dtype=float)
-        if arr.ndim != 1 or arr.shape[0] < 1:
-            raise ConfigError(f"observations must be a non-empty 1-d array, got shape {arr.shape}")
-        object.__setattr__(self, "observations", arr)
-
-    @property
-    def n(self) -> int:
-        return self.observations.shape[0]
 
 
 def _chunk_ranges(rows: int):
@@ -73,7 +55,6 @@ class Model:
     """Base class for scalar parametric families."""
 
     family: str = ""
-    complete_sufficient = True  # the builtin sufficient statistics are complete
 
     def __init__(self, model_id: str, param_space: DomainSpec, support: DomainSpec):
         self.id = model_id
@@ -121,15 +102,12 @@ class Model:
         map_chunks(fill, replicates, workers)
         return out
 
-    def sample(self, theta, n: int, seed: int) -> Sample:
-        return Sample(self.draw(theta, n, 1, seed)[0])
-
     def _stat(self, arr: np.ndarray) -> np.ndarray:
         return np.sum(arr, axis=-1)
 
     def sufficient_stat(self, x):
         """Reduce a sample (or a batch with samples on the last axis)."""
-        arr = np.asarray(getattr(x, "observations", x), dtype=float)
+        arr = np.asarray(x, dtype=float)
         if arr.ndim < 1 or arr.shape[-1] < 1:
             raise ConfigError("expected at least one observation")
         self.support.check(arr, "observation")
@@ -138,7 +116,8 @@ class Model:
 
     @property
     def classical_umvue(self) -> Estimator:
-        raise NotImplementedError
+        """The sample mean, mean-unbiased where the model's mean is theta."""
+        return Estimator("classical", _sample_mean, frozenset({"type2"}), 1)
 
 
 class ExponentialModel(Model):
@@ -155,10 +134,6 @@ class ExponentialModel(Model):
         np.log1p(u, out=u)
         u *= -theta
         return u
-
-    @property
-    def classical_umvue(self) -> Estimator:
-        return Estimator("classical", lambda x: _row_sum(x) / x.shape[-1], frozenset({"type2"}), 1)
 
 
 class NormalModel(Model):
@@ -181,10 +156,6 @@ class NormalModel(Model):
         u *= self._sigma
         u += theta
         return u
-
-    @property
-    def classical_umvue(self) -> Estimator:
-        return Estimator("classical", lambda x: _row_sum(x) / x.shape[-1], frozenset({"type2"}), 1)
 
 
 class LogNormalModel(Model):
@@ -219,8 +190,7 @@ class LogNormalModel(Model):
         sigma2 = self.sigma2
 
         def fn(x):
-            n = x.shape[-1]
-            return np.exp(_row_sum(np.log(x)) / n - sigma2 / (2.0 * n))
+            return np.exp(_sample_mean(np.log(x)) - sigma2 / (2.0 * x.shape[-1]))
 
         return Estimator("classical", fn, frozenset({"type2"}), 1)
 

@@ -19,14 +19,7 @@ from .risk_lab import LehmannGridReport
 def record(report) -> dict:
     """Flatten a report dataclass (or plain dict) into JSON-friendly builtins."""
     items = report if isinstance(report, dict) else dataclasses.asdict(report)
-    out = {}
-    for key, val in items.items():
-        if isinstance(val, tuple):
-            val = [_plain(v) for v in val]
-        else:
-            val = _plain(val)
-        out[key] = val
-    return out
+    return {key: _plain(val) for key, val in items.items()}
 
 
 def _plain(v):

@@ -347,18 +347,21 @@ def _unbiasedness_checks(
 ) -> list[UnbiasednessReport]:
     """Unbiasedness reports for several checks that share each grid point's stream.
 
-    checks holds (estimator, g, target_fn) triples.  With a generator the
-    check is type-I: the mean of grad phi over in-domain estimates against
-    grad phi(theta).  Without one it is type-II: the mean finite estimate
-    against theta, or against target_fn(theta) when given.  Grid point i
-    draws the stream keyed by derive_key(seed, i) once for all checks;
-    reports come grid point by grid point, in the order of checks.
+    checks holds (estimator, g) pairs.  With a generator the check is type-I:
+    the mean of grad phi over in-domain estimates against grad phi(theta).
+    Without one (g is None) it is type-II: the mean finite estimate against
+    theta.  Grid point i draws the stream keyed by derive_key(seed, i) once
+    for all checks; reports come grid point by grid point, in the order of
+    checks.  An empty grid is a ConfigError.
     """
-    estimators = [e for e, _, _ in checks]
+    theta_grid = [float(theta) for theta in theta_grid]
+    if not theta_grid:
+        raise ConfigError("the theta grid must not be empty")
+    estimators = [e for e, _ in checks]
 
     def reduce(est):
         parts = []
-        for e, g, _ in checks:
+        for e, g in checks:
             vals = est[e.id]
             if g is None:
                 parts.append(Moments.of(_kept(vals, np.isfinite(vals))))
@@ -368,17 +371,14 @@ def _unbiasedness_checks(
 
     reports = []
     for i, theta in enumerate(theta_grid):
-        for e, g, _ in checks:
+        for e, g in checks:
             theta = _check_setup(model, theta, n, [e], g, replicates)
         parts = _stream(
             model, theta, n, estimators, replicates, derive_key(seed, i), workers, reduce
         )
-        for (e, g, target_fn), m in zip(checks, parts):
+        for (e, g), m in zip(checks, parts):
             common = _finalize(model, theta, n, replicates, seed, m.k)
-            if g is not None:
-                target = float(g.gradient(theta))
-            else:
-                target = float(theta if target_fn is None else target_fn(theta))
+            target = theta if g is None else float(g.gradient(theta))
             z = _z_score(m.mean, target, m.se)
             reports.append(
                 UnbiasednessReport(
@@ -411,7 +411,7 @@ def check_type1_unbiased(
     Verdict is PASS when |z| <= 4 with z = (mean - target) / se.
     """
     return _unbiasedness_checks(
-        model, theta_grid, [(estimator, g, None)], n, replicates, seed, workers
+        model, theta_grid, [(estimator, g)], n, replicates, seed, workers
     )
 
 
@@ -423,16 +423,13 @@ def check_type2_unbiased(
     replicates: int,
     seed: int,
     workers: int = 1,
-    target_fn=None,
 ) -> list[UnbiasednessReport]:
     """Test whether the mean estimate matches theta itself on a grid.
 
-    target_fn optionally remaps theta to the comparison target, which lets a
-    dual-space estimator be checked against grad phi(theta) with the same
-    machinery and the same seeds.
+    Verdict is PASS when |z| <= 4 with z = (mean - target) / se.
     """
     return _unbiasedness_checks(
-        model, theta_grid, [(estimator, None, target_fn)], n, replicates, seed, workers
+        model, theta_grid, [(estimator, None)], n, replicates, seed, workers
     )
 
 

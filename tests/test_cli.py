@@ -345,6 +345,20 @@ class TestCompareCommand:
         (report,) = json.loads(path.read_text())["reports"]
         assert report["risk_diff"] == 0.0 and report["se_diff"] == 0.0
 
+    def test_constants_equal_to_six_digits_keep_distinct_ids(self, capsys, tmp_path):
+        path = tmp_path / "cmp.json"
+        code, _, err = run(
+            capsys, "compare", "--model", "exp", "--gen", "neglog", "--e1", "const:0.1234567",
+            "--e2", "const:0.1234568", "--theta", "2", "--n", "3", "-M", "2000",
+            "--out", str(path),
+        )
+        assert code == 0, err
+        (report,) = json.loads(path.read_text())["reports"]
+        assert (report["estimator_id_1"], report["estimator_id_2"]) == (
+            "const:0.1234567", "const:0.1234568",
+        )
+        assert report["risk_diff"] != 0.0
+
 
 class TestOracleCommand:
     def test_pass_run(self, capsys):

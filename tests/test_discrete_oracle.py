@@ -16,7 +16,6 @@ from breglab import (
     DomainError,
     Estimator,
     bregman_div,
-    calibrated_type1_estimator,
     decompose_left,
     decompose_right,
     dual_transport,
@@ -61,10 +60,17 @@ def counting(e: Estimator):
     return Estimator(e.id, fn, e.unbiasedness, e.requires_min_n), calls
 
 
+def outcome_index(m: int, n: int) -> np.ndarray:
+    """(m^n, n) support indices in outcome order, built with np.meshgrid."""
+    grids = np.meshgrid(*([np.arange(m)] * n), indexing="ij")
+    return np.stack(grids, axis=-1).reshape(-1, n)
+
+
 def sorted_row_classes(m: int, n: int):
     """Reference multiset labels and sizes: np.unique of sorted outcome rows.
 
-    The index array is outcome_index in int8, so (m, n) = (2, 20) stays small.
+    The index array holds the outcomes' support indices in int8, so
+    (m, n) = (2, 20) stays small.
     """
     index = np.indices((m,) * n, dtype=np.int8).reshape(n, -1).T
     place = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
@@ -138,20 +144,18 @@ class TestDiscreteModel:
             dm.outcome_values, [[1.0, 1.0], [1.0, 2.0], [2.0, 1.0], [2.0, 2.0]]
         )
 
-    def test_outcome_index_matches_meshgrid_construction(self):
+    def test_outcome_values_match_meshgrid_construction(self):
         for m in range(1, 7):
             for n in range(1, 7):
-                grids = np.meshgrid(*([np.arange(m)] * n), indexing="ij")
-                ref = np.stack(grids, axis=-1).reshape(-1, n)
-                index = DiscreteModel(tuple(range(1, m + 1)), n).outcome_index
-                npt.assert_array_equal(index, ref)
-                assert index.dtype == ref.dtype and index.flags.c_contiguous
+                support = tuple(float(v) for v in range(1, m + 1))
+                vals = DiscreteModel(support, n).outcome_values
+                npt.assert_array_equal(vals, np.asarray(support)[outcome_index(m, n)])
 
     @pytest.mark.parametrize("m,n", [(1, 3), (2, 7), (3, 5), (10, 5), (2, 12)])
     def test_outcome_values_column_major(self, m, n):
         dm = DiscreteModel(tuple(0.5 + 0.7 * i for i in range(m)), n)
         vals = dm.outcome_values
-        npt.assert_array_equal(vals, np.asarray(dm.support)[dm.outcome_index])
+        npt.assert_array_equal(vals, np.asarray(dm.support)[outcome_index(m, n)])
         assert vals.flags.f_contiguous
         if n < 8:
             # row reductions give the same bits as on the row-major array
@@ -179,7 +183,7 @@ class TestDiscreteModel:
         dm = DiscreteModel(support, n)
         for theta in (0.5, 1.0, 2.0):
             w = dm.outcome_weights(theta)
-            rowwise = np.prod(dm.pmf(theta)[dm.outcome_index], axis=1)
+            rowwise = np.prod(dm.pmf(theta)[outcome_index(dm.m, n)], axis=1)
             npt.assert_array_equal(w, rowwise)
             assert abs(float(w.sum()) - 1.0) <= 1e-14
 
@@ -208,22 +212,10 @@ class TestExactExpectation:
         marg = float(np.sum(dm.pmf(0.7) * np.asarray(dm.support)))
         npt.assert_allclose(out, np.full(3, marg), rtol=1e-14)
 
-    def test_workers_agree_bitwise(self):
-        dm = DiscreteModel(tuple(range(1, 8)), 5)
-        serial = exact_expectation(dm, 0.9, lambda v: np.exp(-v[:, 0] * v[:, 1]))
-        threaded = exact_expectation(dm, 0.9, lambda v: np.exp(-v[:, 0] * v[:, 1]), workers=4)
-        assert serial == threaded
-
     def test_shape_mismatch_rejected(self):
         dm = DiscreteModel((1.0, 2.0), 2)
         with pytest.raises(ConfigError):
             exact_expectation(dm, 1.0, lambda v: v[:3, 0])
-
-    @pytest.mark.parametrize("workers", [0, -5])
-    def test_workers_below_one_rejected(self, workers):
-        dm = DiscreteModel((1.0, 2.0, 3.0), 3)
-        with pytest.raises(ConfigError, match=rf"^workers must be >= 1, got {workers}$"):
-            exact_expectation(dm, 1.0, lambda v: v[:, 0], workers=workers)
 
 
 class TestExactRaoBlackwell:
@@ -277,7 +269,7 @@ class TestExactRaoBlackwell:
         npt.assert_array_equal(counts, ref_counts)
         assert labels.dtype == ref_labels.dtype and counts.dtype == ref_counts.dtype
         if n <= 6:
-            npt.assert_array_equal(index, DiscreteModel(tuple(range(1, m + 1)), n).outcome_index)
+            npt.assert_array_equal(index, outcome_index(m, n))
 
     def test_sample_outside_support_raises(self):
         dm = DiscreteModel((1.0, 2.0, 3.0), 3)
@@ -529,7 +521,9 @@ class TestLawReuse:
 
         with pytest.raises(ValueError):
             verify_decompositions(dm, squared_euclidean(1), Estimator("writer", fn), 1.0)
-        npt.assert_array_equal(dm.outcome_values, np.asarray(self.SUPPORT)[dm.outcome_index])
+        npt.assert_array_equal(
+            dm.outcome_values, np.asarray(self.SUPPORT)[outcome_index(len(self.SUPPORT), 2)]
+        )
 
 
 class TestComputeOnceAcrossCalls:
@@ -755,26 +749,6 @@ class TestDecompositions:
             verify_decompositions(dm, negative_log(1), bad, 1.0)
         with pytest.raises(DomainError, match=r"^x" + outside):
             verify_rb_inequality(dm, negative_log(1), bad, (1.0,))
-
-
-class TestCalibratedEstimator:
-    def test_dual_bias_vanishes_at_calibration_point(self):
-        dm = DiscreteModel((1.0, 2.0, 3.0), 4)
-        theta0 = 1.1
-        for g in (negative_log(1), negative_entropy(1), squared_euclidean(1)):
-            e = calibrated_type1_estimator(dm, g, lambda x: np.mean(x, axis=-1), theta0)
-            dual_mean = exact_expectation(
-                dm, theta0, lambda v: np.asarray(g.gradient(e.fn(v)))
-            )
-            target = float(g.gradient(theta0))
-            assert abs(dual_mean - target) <= 1e-12 * (1.0 + abs(target))
-
-    def test_bias_returns_away_from_calibration_point(self):
-        dm = DiscreteModel((1.0, 2.0, 3.0), 4)
-        g = negative_log(1)
-        e = calibrated_type1_estimator(dm, g, lambda x: np.mean(x, axis=-1), 1.1)
-        dual_mean = exact_expectation(dm, 2.3, lambda v: np.asarray(g.gradient(e.fn(v))))
-        assert abs(dual_mean - float(g.gradient(2.3))) > 1e-6
 
 
 class TestResolveDiscreteEstimator:

@@ -1,4 +1,4 @@
-"""Estimator algebra: dual images, permutation symmetrization, registry formulas."""
+"""Estimator algebra: permutation symmetrization, registry formulas, spec strings."""
 
 import itertools
 
@@ -12,24 +12,19 @@ from breglab import (
     EXACT,
     BudgetError,
     ConfigError,
-    DomainError,
     Estimator,
     ExponentialModel,
     LogNormalModel,
     NormalModel,
-    Sample,
     UnsupportedError,
     build_type1_umvue,
     const_estimator,
     first_k_estimator,
-    from_dual,
     negative_entropy,
     negative_log,
-    rao_blackwellize,
     resolve_estimator,
     squared_euclidean,
     symmetrize,
-    to_dual,
 )
 from breglab.estimators import _row_sum
 
@@ -38,10 +33,10 @@ head2_mean = Estimator("head2", lambda x: np.mean(x[..., :2], axis=-1), requires
 
 
 class TestEstimatorCalls:
-    def test_accepts_arrays_and_samples(self):
+    def test_accepts_arrays(self):
         x = np.array([3.0, 1.0, 2.0])
         assert first_obs(x) == 3.0
-        assert first_obs(Sample(x)) == 3.0
+        assert first_obs(list(x)) == 3.0
 
     def test_batch_evaluation(self):
         x = np.arange(12.0).reshape(4, 3)
@@ -56,73 +51,16 @@ class TestEstimatorCalls:
         assert e.id == "const:2.5"
         npt.assert_array_equal(e(np.ones((4, 3))), np.full(4, 2.5))
 
-
-class TestDualImages:
-    @pytest.mark.parametrize("g", [negative_log(1), negative_entropy(1)], ids=lambda g: g.id)
-    def test_round_trip(self, g):
-        rng = np.random.default_rng(53)
-        x = rng.uniform(0.5, 4.0, (200, 6))
-        e = Estimator("mean", lambda a: np.mean(a, axis=-1))
-        back = from_dual(g, to_dual(g, e))
-        npt.assert_allclose(back(x), e(x), rtol=1e-12)
-
-    def test_dual_values(self):
-        g = negative_log(1)
-        d = to_dual(g, first_obs)
-        npt.assert_allclose(d(np.array([2.0, 5.0])), -0.5)
-        assert d.id == "dual[neglog](first)"
-
-    def test_dual_estimate_outside_domain_raises(self):
-        g = negative_log(1)
-        shifted = Estimator("shifted", lambda x: np.mean(x, axis=-1) - 5.0)
-        with pytest.raises(DomainError):
-            to_dual(g, shifted)(np.array([1.0, 2.0]))
-
-    def test_min_n_propagates(self):
-        d = to_dual(negative_log(1), head2_mean)
-        assert d.requires_min_n == 2
-        with pytest.raises(ConfigError):
-            d(np.array([1.0]))
-
-
-class TestRaoBlackwellize:
-    def test_linear_estimator_collapses_to_mean(self):
-        g = squared_euclidean(1)
-        out = rao_blackwellize(to_dual(g, first_obs), np.array([1.0, 2.0, 3.0]))
-        npt.assert_allclose(out, 2.0)
-
-    def test_product_of_first_two(self):
-        g = squared_euclidean(1)
-        prod12 = Estimator("prod12", lambda x: x[..., 0] * x[..., 1], requires_min_n=2)
-        out = rao_blackwellize(to_dual(g, prod12), np.array([1.0, 2.0, 3.0]))
-        npt.assert_allclose(out, 22.0 / 6.0)
-
-    def test_exact_budget_limit(self):
-        g = squared_euclidean(1)
-        with pytest.raises(BudgetError):
-            rao_blackwellize(to_dual(g, first_obs), np.ones(9))
-
-    def test_sampled_budget_is_seeded(self):
-        g = squared_euclidean(1)
-        x = np.arange(1.0, 10.0)  # n = 9, exact enumeration unavailable
-        d = to_dual(g, first_obs)
-        a = rao_blackwellize(d, x, budget=400, seed=5)
-        b = rao_blackwellize(d, x, budget=400, seed=5)
-        assert a == b
-        c = rao_blackwellize(d, x, budget=400, seed=6)
-        assert a != c
-
-    def test_bad_budgets(self):
-        d = to_dual(squared_euclidean(1), first_obs)
-        x = np.array([1.0, 2.0])
-        for budget in (0, -3, 2.5, True):
-            with pytest.raises(ConfigError):
-                rao_blackwellize(d, x, budget=budget)
-
-    def test_rejects_batches(self):
-        d = to_dual(squared_euclidean(1), first_obs)
-        with pytest.raises(ConfigError):
-            rao_blackwellize(d, np.ones((3, 2)))
+    @pytest.mark.parametrize("value, name", [
+        (2.5, "const:2.5"), (2.0, "const:2"), (0.0, "const:0"), (-0.0, "const:-0"),
+        (1e300, "const:1e+300"), (np.inf, "const:inf"),
+        (0.1234567, "const:0.1234567"), (0.1234568, "const:0.1234568"),
+        (1.0 / 3.0, "const:0.3333333333333333"), (1234567.0, "const:1234567.0"),
+    ])
+    def test_const_id_names_the_value_exactly(self, value, name):
+        e = const_estimator(value)
+        assert e.id == name
+        assert float(e.id.partition(":")[2]).hex() == float(value).hex()
 
 
 class TestSymmetrize:
@@ -171,6 +109,28 @@ class TestSymmetrize:
         rb = symmetrize(negative_log(1), first_obs)
         with pytest.raises(BudgetError):
             rb(np.ones((1, 9)))
+
+    def test_linear_estimator_collapses_to_mean(self):
+        rb = symmetrize(squared_euclidean(1), first_obs)
+        npt.assert_allclose(rb(np.array([1.0, 2.0, 3.0])), 2.0)
+
+    def test_product_of_first_two(self):
+        prod12 = Estimator("prod12", lambda x: x[..., 0] * x[..., 1], requires_min_n=2)
+        rb = symmetrize(squared_euclidean(1), prod12)
+        npt.assert_allclose(rb(np.array([1.0, 2.0, 3.0])), 22.0 / 6.0)
+
+    def test_sampled_budget_depends_on_the_seed(self):
+        g = squared_euclidean(1)
+        x = np.arange(1.0, 10.0)  # n = 9, exact enumeration unavailable
+        a = symmetrize(g, first_obs, budget=400, seed=5)(x)
+        assert a == symmetrize(g, first_obs, budget=400, seed=5)(x)
+        assert a != symmetrize(g, first_obs, budget=400, seed=6)(x)
+
+    @pytest.mark.parametrize("budget", [0, -3, 2.5, True])
+    def test_bad_budgets(self, budget):
+        rb = symmetrize(squared_euclidean(1), first_obs, budget=budget)
+        with pytest.raises(ConfigError):
+            rb(np.array([1.0, 2.0]))
 
 
 class TestType1Registry:

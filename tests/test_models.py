@@ -14,7 +14,6 @@ from breglab import (
     ExponentialModel,
     LogNormalModel,
     NormalModel,
-    Sample,
     resolve_model,
 )
 from breglab import models
@@ -36,19 +35,6 @@ class CopyingExponential(ExponentialModel):
 
     def _transform(self, u, theta):
         return -theta * np.log1p(-u)
-
-
-class TestSampleContainer:
-    def test_basic(self):
-        s = Sample(np.array([1.0, 2.0]))
-        assert s.n == 2
-        npt.assert_array_equal(s.observations, [1.0, 2.0])
-
-    def test_rejects_empty_and_matrix(self):
-        with pytest.raises(ConfigError):
-            Sample(np.array([]))
-        with pytest.raises(ConfigError):
-            Sample(np.ones((2, 2)))
 
 
 class TestDraws:
@@ -74,7 +60,7 @@ class TestDraws:
         big = model.draw(1.5, 3, CHUNK_ROWS + 10, seed=9)
         small = model.draw(1.5, 3, CHUNK_ROWS, seed=9)
         npt.assert_array_equal(big[:CHUNK_ROWS], small)
-        npt.assert_array_equal(model.sample(1.5, 3, seed=9).observations, big[0])
+        npt.assert_array_equal(model.draw(1.5, 3, 1, seed=9)[0], big[0])
 
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.family)
     def test_draws_land_in_support(self, model):
@@ -215,10 +201,6 @@ class TestSufficientStats:
         m = ExponentialModel()
         x = np.array([0.3, 1.7, 0.9])
         assert m.sufficient_stat(x) == m.sufficient_stat(x[::-1])
-
-    def test_accepts_sample_objects(self):
-        m = ExponentialModel()
-        assert m.sufficient_stat(Sample(np.array([2.0, 3.0]))) == 5.0
 
     def test_support_violations_raise(self):
         with pytest.raises(DomainError):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from breglab import (
     CHUNK_ROWS,
     ConfigError,
+    DiscreteModel,
     DomainError,
     Estimator,
     ExponentialModel,
@@ -33,7 +34,8 @@ from breglab import (
     negative_entropy,
     negative_log,
     squared_euclidean,
-    to_dual,
+    verify_decompositions_grid,
+    verify_rb_inequality,
 )
 from breglab.prng import derive_key, pairwise_sum
 from breglab.generators import SeparableGenerator
@@ -152,19 +154,6 @@ class TestUnbiasednessChecks:
         (t1,) = check_type1_unbiased(EXP, [2.0], mean_estimator(), NEGLOG, 5, 100_000, seed=7)
         assert not t1.verdict and abs(t1.z) > 10.0
 
-    def test_type1_check_equals_type2_check_of_dual_image(self):
-        # pushing the estimator through grad phi and retargeting reproduces the
-        # type-I check bitwise, including the per-grid-point streams
-        e = build_type1_umvue(EXP, NEGLOG)
-        grid = [1.0, 2.0, 4.0]
-        t1 = check_type1_unbiased(EXP, grid, e, NEGLOG, 5, 20_000, seed=31)
-        t2 = check_type2_unbiased(
-            EXP, grid, to_dual(NEGLOG, e), 5, 20_000, seed=31,
-            target_fn=lambda t: float(NEGLOG.gradient(t)),
-        )
-        for a, b in zip(t1, t2):
-            assert (a.mean, a.target, a.se, a.z, a.verdict) == (b.mean, b.target, b.se, b.z, b.verdict)
-
     def test_sqeuclid_collapses_type1_onto_type2(self):
         # with the identity gradient the two notions coincide, stream for stream
         model = NormalModel()
@@ -183,6 +172,18 @@ class TestUnbiasednessChecks:
         assert rep.z == 0.0 and rep.se == 0.0 and rep.verdict
         (bad,) = check_type2_unbiased(EXP, [2.0], const_estimator(3.0), 3, 2000, seed=0)
         assert bad.z == np.inf and not bad.verdict
+
+
+@pytest.mark.parametrize("grid", [[], (), np.array([])], ids=["list", "tuple", "array"])
+@pytest.mark.parametrize("check", [
+    lambda grid: check_type1_unbiased(EXP, grid, mean_estimator(), NEGLOG, 5, 2000, seed=1),
+    lambda grid: check_type2_unbiased(EXP, grid, mean_estimator(), 5, 2000, seed=1),
+    lambda grid: verify_rb_inequality(DiscreteModel((1.0, 2.0), 2), NEGLOG, mean_estimator(), grid),
+    lambda grid: verify_decompositions_grid(DiscreteModel((1.0, 2.0), 2), NEGLOG, mean_estimator(), grid),
+], ids=["type1", "type2", "rb", "decompositions"])
+def test_empty_theta_grid_is_a_config_error(check, grid):
+    with pytest.raises(ConfigError, match="^the theta grid must not be empty$"):
+        check(grid)
 
 
 class TestLehmannGrid:
