@@ -37,7 +37,6 @@ from .errors import (
     UnsupportedError,
 )
 from .estimators import (
-    EXACT,
     Estimator,
     build_type1_umvue,
     const_estimator,

@@ -33,7 +33,7 @@ from .errors import (
     UnsupportedError,
 )
 from .estimators import build_type1_umvue, first_k_estimator, resolve_estimator
-from .generators import resolve_generator
+from .generators import require_dimension, resolve_generator
 from .models import ExponentialModel, LogNormalModel, resolve_model
 from .risk_lab import (
     _unbiasedness_checks,
@@ -126,16 +126,6 @@ def _resolve(args) -> dict:
     return cfg
 
 
-def _echo_config(cfg: dict) -> None:
-    print("config:", json.dumps(cfg, sort_keys=True))
-
-
-def _emit(reports, cfg: dict) -> None:
-    if cfg["out"]:
-        with open(cfg["out"], "w") as fh:
-            fh.write(reporting.render(reports, cfg["format"], cfg))
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="breglab",
@@ -153,36 +143,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_divergence(args) -> int:
-    cfg = _resolve(args)
+def cmd_divergence(cfg: dict):
     xs = _float_list(cfg["x"])
     ys = _float_list(cfg["y"])
     if len(xs) != len(ys):
         raise ConfigError(f"x has {len(xs)} coordinates but y has {len(ys)}")
     g = resolve_generator(cfg["gen"], dim=len(xs))
-    if g.dimension != len(xs):
-        raise ConfigError(f"generator dimension {g.dimension} does not match point length {len(xs)}")
+    require_dimension(g, len(xs))
     x = xs[0] if g.dimension == 1 else np.asarray(xs)
     y = ys[0] if g.dimension == 1 else np.asarray(ys)
     div = float(bregman_div(g, x, y))
     transport = float(dual_transport(g, x, y))
-    _echo_config(cfg)
-    print(f"bregman_divergence = {div!r}")
-    print(f"dual_transport = {transport!r}")
-    _emit([{"generator_id": g.id, "x": xs, "y": ys, "bregman_divergence": div, "dual_transport": transport}], cfg)
-    return 0
+    report = dict(generator_id=g.id, x=xs, y=ys, bregman_divergence=div, dual_transport=transport)
+    return [report], [f"bregman_divergence = {div!r}", f"dual_transport = {transport!r}"], 0
 
 
-def _validity_exit(reports) -> int:
-    """1, with a note on stderr, when any report is flagged invalid; else 0."""
-    if all(r.valid for r in reports):
-        return 0
-    print("report INVALID: dropped replicates exceed the 0.1 percent budget", file=sys.stderr)
-    return 1
-
-
-def cmd_risk(args) -> int:
-    cfg = _resolve(args)
+def cmd_risk(cfg: dict):
     model = resolve_model(cfg["model"])
     g = resolve_generator(cfg["gen"], dim=1)
     e = resolve_estimator(cfg["estimator"], model, g)
@@ -190,22 +166,18 @@ def cmd_risk(args) -> int:
         model, cfg["theta"], cfg["n"], e, g, cfg["orientation"],
         cfg["replicates"], cfg["seed"], cfg["workers"],
     )
-    _echo_config(cfg)
-    print(
+    return [report], [
         f"risk = {report.risk!r}  bias = {report.bias_term!r}  "
         f"variance = {report.variance_term!r}  se = {report.se_risk!r}  "
         f"dropped = {report.dropped}"
-    )
-    _emit([report], cfg)
-    return _validity_exit([report])
+    ], 0
 
 
 def _verdict_word(v: bool) -> str:
     return "PASS" if v else "FAIL"
 
 
-def cmd_check(args) -> int:
-    cfg = _resolve(args)
+def cmd_check(cfg: dict):
     model = resolve_model(cfg["model"])
     g = resolve_generator(cfg["gen"], dim=1) if cfg["gen"] else None
     e = resolve_estimator(cfg["estimator"], model, g)
@@ -227,26 +199,24 @@ def cmd_check(args) -> int:
                 model, thetas[0], _float_list(cfg["grid"]), e, g, cfg["orientation"], *run
             )
         ]
-    _echo_config(cfg)
+    lines = []
     for r in reports:
         # an invalid report dropped too many replicates to carry a verdict
         if kind == "lehmann":
             best = r.grid[r.argmin_index]
             hit = "argmin at theta" if r.argmin_index == r.theta_index else "argmin off theta"
             hit = hit if r.valid else "INVALID"
-            print(f"lehmann: argmin {best!r} ({hit}), means = {list(r.means)!r}")
+            lines.append(f"lehmann: argmin {best!r} ({hit}), means = {list(r.means)!r}")
         else:
             word = _verdict_word(r.verdict) if r.valid else "INVALID"
-            print(
+            lines.append(
                 f"{r.kind} theta = {r.theta!r}: mean = {r.mean!r} target = {r.target!r} "
                 f"z = {r.z:.3f} -> {word}"
             )
-    _emit(reports, cfg)
-    return _validity_exit(reports)
+    return reports, lines, 0
 
 
-def cmd_compare(args) -> int:
-    cfg = _resolve(args)
+def cmd_compare(cfg: dict):
     model = resolve_model(cfg["model"])
     g = resolve_generator(cfg["gen"], dim=1)
     e1 = resolve_estimator(cfg["e1"], model, g)
@@ -257,18 +227,14 @@ def cmd_compare(args) -> int:
         model, cfg["theta"], cfg["n"], (e1, e2), g, cfg["orientation"],
         cfg["replicates"], cfg["seed"], cfg["workers"],
     )
-    _echo_config(cfg)
-    print(
+    return [report], [
         f"risk({report.estimator_id_1}) = {report.risk_1!r}  "
         f"risk({report.estimator_id_2}) = {report.risk_2!r}  "
         f"diff = {report.risk_diff!r}  paired se = {report.se_diff!r}"
-    )
-    _emit([report], cfg)
-    return _validity_exit([report])
+    ], 0
 
 
-def cmd_oracle(args) -> int:
-    cfg = _resolve(args)
+def cmd_oracle(cfg: dict):
     if cfg["support"] is not None:
         support = _float_list(cfg["support"])
     elif cfg["m"] is not None:
@@ -299,19 +265,16 @@ def cmd_oracle(args) -> int:
     ]
     max_residual = max(max(c.max_residual for c in checks), rb.max_violation)
     passed = rb.passed and all(c.passed for c in checks)
-    _echo_config(cfg)
-    for row in rb.rows:
-        print(
-            f"theta = {row.theta!r}: risk = {row.risk_estimator!r} "
-            f"rb = {row.risk_rb!r} gap = {row.gap!r}"
-        )
-    print(f"{_verdict_word(passed)} max_residual = {max_residual!r}")
-    _emit(rows, cfg)
-    return 0 if passed else 1
+    lines = [
+        f"theta = {row.theta!r}: risk = {row.risk_estimator!r} "
+        f"rb = {row.risk_rb!r} gap = {row.gap!r}"
+        for row in rb.rows
+    ]
+    lines.append(f"{_verdict_word(passed)} max_residual = {max_residual!r}")
+    return rows, lines, 0 if passed else 1
 
 
-def cmd_reproduce(args) -> int:
-    cfg = _resolve(args)
+def cmd_reproduce(cfg: dict):
     if cfg["example"] == "exp":
         model, g = ExponentialModel(), resolve_generator("neglog", 1)
         theta, n, k = 2.0, 5, 3
@@ -338,30 +301,32 @@ def cmd_reproduce(args) -> int:
         model, theta, n, (e_type1, e_cmp), g, "left", replicates, seed, workers
     )
 
-    _echo_config(cfg)
     ok = True
-    print(f"{'estimator':<10} {'check':<6} {'mean':>12} {'target':>12} {'z':>10} verdict expected")
+    lines = [
+        f"{'estimator':<10} {'check':<6} {'mean':>12} {'target':>12} {'z':>10} verdict expected"
+    ]
     for name, r, expected in rows:
         match = r.verdict == expected
         ok &= match
-        print(
+        lines.append(
             f"{name:<10} {r.kind:<6} {r.mean:>12.6f} {r.target:>12.6f} {r.z:>10.2f} "
             f"{_verdict_word(r.verdict):<7} {_verdict_word(expected)}"
             + ("" if match else "   <-- UNEXPECTED")
         )
     improved = cmp_report.risk_diff < 0 and cmp_report.risk_diff + 5 * cmp_report.se_diff < 0
     ok &= improved
-    print(
+    lines.append(
         f"paired risk: {cmp_report.estimator_id_1} vs {cmp_report.estimator_id_2} "
         f"diff = {cmp_report.risk_diff:.6f} (paired se {cmp_report.se_diff:.2e}) -> "
         + ("improves by > 5 se" if improved else "NO improvement   <-- UNEXPECTED")
     )
-    _emit([r for _, r, _ in rows] + [cmp_report], cfg)
-    return 0 if ok else 1
+    return [r for _, r, _ in rows] + [cmp_report], lines, 0 if ok else 1
 
 
 # Each subcommand, declared once: name -> (runner, help, options).  argparse
-# and the config-file merge both read this table.
+# and the config-file merge both read this table.  A runner takes the resolved
+# configuration and returns (reports, stdout lines, exit code); main prints,
+# writes --out and applies the invalid-report rule for all of them.
 _COMMANDS = {
     "divergence": (cmd_divergence, "evaluate a divergence and its dual transport", {
         "gen": (str, REQUIRED),
@@ -422,13 +387,25 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command][0](args)
+        cfg = _resolve(args)
+        reports, lines, code = _COMMANDS[args.command][0](cfg)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
+    print("config:", json.dumps(cfg, sort_keys=True))
+    for line in lines:
+        print(line)
+    if cfg["out"]:
+        with open(cfg["out"], "w") as fh:
+            fh.write(reporting.render(reports, cfg["format"], cfg))
+    # plain dict rows (divergence, oracle) carry no validity flag
+    if not all(getattr(r, "valid", True) for r in reports):
+        print("report INVALID: dropped replicates exceed the 0.1 percent budget", file=sys.stderr)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

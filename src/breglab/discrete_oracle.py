@@ -55,10 +55,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .divergence import BregmanInfo, _evaluate, _Evaluated, _loss, _oriented, bregman_div
+from .divergence import BregmanInfo, _loss, _Points
+from .divergence import bregman_div  # noqa: F401  uncalled; bench/spans.py wraps this name
 from .errors import BudgetError, ConfigError, DomainError
-from .estimators import Estimator, resolve_estimator
-from .generators import Generator
+from .estimators import Estimator, rao_blackwell_estimator, resolve_estimator
+from .generators import Generator, require_dimension
 from .prng import pairwise_sum
 
 MAX_OUTCOMES = 2_000_000
@@ -297,8 +298,7 @@ def _estimates(dm: DiscreteModel, e: Estimator) -> np.ndarray:
     An estimator may return a strided view; sorting and checking a
     contiguous copy is several times faster than the view.
     """
-    if dm.n < e.requires_min_n:
-        raise ConfigError(f"estimator '{e.id}' needs n >= {e.requires_min_n}, got {dm.n}")
+    e.check_n(dm.n)
     values = np.ascontiguousarray(e.fn(dm.outcome_values), dtype=float)
     if values.shape != (dm.outcome_count,):
         raise ConfigError(
@@ -318,6 +318,7 @@ def _estimate_law(dm: DiscreteModel, g: Generator, e: Estimator, label: str):
     instead of sorting again.  The kept copy is what is returned, so an
     estimator that later overwrites its own output cannot change it.
     """
+    require_dimension(g, 1)
     values = _estimates(dm, e)
     g.domain.check(values, label)
     last = dm.__dict__.get("_last_law")
@@ -369,10 +370,6 @@ def _condition(g: Generator, duals: np.ndarray, labels: np.ndarray, counts: np.n
     return np.asarray(g.invert_gradient(np.bincount(labels, weights=duals) / counts), dtype=float)
 
 
-def _rb_id(g: Generator, e: Estimator) -> str:
-    return f"rb[{g.id},perms=all]({e.id})"
-
-
 def exact_rao_blackwell(dm: DiscreteModel, g: Generator, e: Estimator) -> Estimator:
     """Condition on the multiset of observations: exact Rao-Blackwell on dm.
 
@@ -380,7 +377,7 @@ def exact_rao_blackwell(dm: DiscreteModel, g: Generator, e: Estimator) -> Estima
     the mean of grad phi(e) over the n! permutations of an outcome equals its
     mean over the outcome's multiset class.  Dual values are computed once per
     distinct estimate, averaged per class, and mapped back through the inverse
-    gradient once per class.  The result equals symmetrize(g, e, EXACT) on the
+    gradient once per class.  The result equals symmetrize(g, e) on the
     support up to summation order, without symmetrize's n <= 8 limit.
 
     The returned estimator reads a table and accepts only samples of length
@@ -404,12 +401,7 @@ def exact_rao_blackwell(dm: DiscreteModel, g: Generator, e: Estimator) -> Estima
             raise DomainError(f"sample value {val} is not in the oracle support")
         return table[idx @ place]
 
-    return Estimator(
-        id=_rb_id(g, e),
-        fn=fn,
-        unbiasedness=frozenset(t for t in e.unbiasedness if t.startswith("type1")),
-        requires_min_n=e.requires_min_n,
-    )
+    return rao_blackwell_estimator(g, e, fn)
 
 
 @dataclass(frozen=True)
@@ -448,22 +440,21 @@ def verify_rb_inequality(dm: DiscreteModel, g: Generator, e: Estimator, theta_gr
     theta.
     """
     grid = _grid(theta_grid)
-    base, law = _estimate_law(dm, g, e, "x")
-    grad_base = np.asarray(g.gradient(law.atoms), dtype=float)
+    values, law = _estimate_law(dm, g, e, "x")
+    base = _Points(g, law.atoms)
     cls, counts = _multiset_classes(dm.m, dm.n)
-    rb_classes = _condition(g, law.spread(grad_base), cls, counts)
+    rb_classes = _condition(g, law.spread(base.grad), cls, counts)
     rb_atoms, rb_of_class = np.unique(rb_classes, return_inverse=True)
     rb_law = _law_of_labels(rb_atoms, rb_of_class[cls])
     scale = 1.0 + float(np.max(np.abs(law.atoms)))
     moved = rb_classes[cls]
-    moved -= base
+    moved -= values
     invariant = bool(np.max(np.abs(moved, out=moved)) <= _INVARIANCE_TOL * scale)
-    base = _Evaluated(law.atoms, g.value(law.atoms), grad_base)
-    rb = _evaluate(g, "left", rb_atoms, True)
+    rb = _Points(g, rb_atoms)
     rows = []
     for theta in grid:
         w = dm.outcome_weights(theta)
-        t = _evaluate(g, "left", theta, False)
+        t = _Points(g, theta)
         risk_base = _mean(law.probabilities_at(dm, theta, w), _loss(g, "left", base, t))
         risk_rb = _mean(rb_law.probabilities(w), _loss(g, "left", rb, t))
         rows.append(RBRow(theta, risk_base, risk_rb, risk_base - risk_rb))
@@ -471,7 +462,7 @@ def verify_rb_inequality(dm: DiscreteModel, g: Generator, e: Estimator, theta_gr
     return RBInequalityReport(
         generator_id=g.id,
         estimator_id=e.id,
-        rb_estimator_id=_rb_id(g, e),
+        rb_estimator_id=rao_blackwell_estimator(g, e, None).id,
         support=dm.support,
         n=dm.n,
         rows=tuple(rows),
@@ -519,17 +510,16 @@ def verify_decompositions_grid(
     """
     grid = _grid(theta_grid)
     law = _estimate_law(dm, g, e, "estimate")[1]
-    est = _evaluate(g, "left", law.atoms, True)
+    est = _Points(g, law.atoms)
     checks = []
     for theta in grid:
         p = law.probabilities_at(dm, theta)
-        # phi and grad phi of theta: the right loss reads both, the left phi only
-        t = _evaluate(g, "right", theta, False)
+        t = _Points(g, theta)
         parts = []  # risk, bias, variance, center and residual, left then right
         for side in ("left", "right"):
             info = BregmanInfo.of(g, side, est, p)
             risk = _mean(p, _loss(g, side, est, t))
-            bias = float(bregman_div(g, *_oriented(side, theta, info.center)))
+            bias = info.bias(theta)
             parts += [risk, bias, info.v, info.center, abs(risk - bias - info.v)]
         passed = bool(max(parts[4::5]) <= RESIDUAL_TOL)
         checks.append(DecompositionCheck(g.id, e.id, dm.support, dm.n, theta, *parts, passed))

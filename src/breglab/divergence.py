@@ -6,12 +6,14 @@ the plain mean E delta, and the variance term is the Bregman information of
 Banerjee et al. (JMLR 2005).  BregmanInfo.of alone computes that center and
 variance: of equally weighted points for risk_lab's Monte Carlo chunks, and
 under a probability vector for decompose_left/right and the exact oracle.
+BregmanInfo.bias alone computes the bias term.  Points reach a loss as
+_Points, which evaluate phi and grad phi once each, and only if read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 
@@ -119,26 +121,23 @@ def _oriented(orientation: str, y, est):
     return (y, est) if orientation == "left" else (est, y)
 
 
-class _Evaluated(NamedTuple):
-    """Points x with phi(x), and grad phi(x) where a loss or a dual mean reads it."""
+class _Points:
+    """Points x of g; phi(x) and grad phi(x) are each evaluated on first read and kept."""
 
-    x: object
-    phi: object
-    grad: object
+    def __init__(self, g: Generator, x):
+        self.g = g
+        self.x = x
 
+    @cached_property
+    def phi(self):
+        return self.g.value(self.x)
 
-def _evaluate(g: Generator, orientation: str, x, estimates: bool) -> _Evaluated:
-    """phi at x, and grad phi where the orientation's loss or dual mean reads it.
-
-    A loss takes grad phi at its second argument: the estimates on the left,
-    the other point (theta, a grid parameter or the center) on the right.
-    The left dual mean also reads grad phi of the estimates.
-    """
-    wants_grad = (orientation == "left") == estimates
-    return _Evaluated(x, g.value(x), g.gradient(x) if wants_grad else None)
+    @cached_property
+    def grad(self):
+        return self.g.gradient(self.x)
 
 
-def _loss(g: Generator, orientation: str, est: _Evaluated, y: _Evaluated):
+def _loss(g: Generator, orientation: str, est: _Points, y: _Points):
     """D(y, est) for the left orientation, D(est, y) for the right.
 
     The same arithmetic as bregman_div, from phi and grad phi evaluated once.
@@ -173,7 +172,7 @@ class BregmanInfo:
     v: float = 0.0
 
     @staticmethod
-    def _center(g: Generator, orientation: str, est: _Evaluated, weights=None):
+    def _center(g: Generator, orientation: str, est: _Points, weights=None):
         """(mean, center) of the points est.x, plainly averaged or weighted by weights.
 
         The mean is of grad phi(x) on the left, where the center is its
@@ -190,29 +189,32 @@ class BregmanInfo:
         return mean, _scalarize(g.invert_gradient(mean)) if orientation == "left" else mean
 
     @classmethod
-    def of(cls, g: Generator, orientation: str, est: _Evaluated, weights=None) -> "BregmanInfo":
+    def of(cls, g: Generator, orientation: str, est: _Points, weights=None) -> "BregmanInfo":
         """Info of the points est.x, scalars or the rows of an (m, d) array.
 
-        phi and (left) grad phi are read from est.  weights, if given, is a
-        probability vector over the points.
+        weights, if given, is a probability vector over the points.
         """
         if est.x.size == 0:
             return cls(g, orientation)
         mean, center = cls._center(g, orientation, est, weights)
-        loss = _loss(g, orientation, est, _evaluate(g, orientation, center, False))
+        loss = _loss(g, orientation, est, _Points(g, center))
         if weights is None:
             return cls(g, orientation, len(est.x), mean, center, float(np.sum(loss)))
         return cls(g, orientation, 1.0, mean, center, float(np.sum(weights * loss)))
 
+    def bias(self, y) -> float:
+        """The bias term of a loss against y: D(y, c) on the left, D(c, y) on the right."""
+        return float(bregman_div(self.g, *_oriented(self.orientation, y, self.center)))
+
     def _excess(self, y: float) -> float:
         """Summed divergence of the set to y (left: from y) minus v."""
         if self.orientation == "right":
-            return self.k * float(bregman_div(self.g, self.center, y))
+            return self.k * self.bias(y)
         # k D(y, c) is exact only if grad phi(c) equals the mean dual value;
         # the residual term keeps it exact when the inverse gradient is not
         # (the Newton fallback)
         resid = float(self.g.gradient(self.center)) - self.mean
-        return self.k * (float(bregman_div(self.g, y, self.center)) + resid * (y - self.center))
+        return self.k * (self.bias(y) + resid * (y - self.center))
 
     def __add__(self, other: "BregmanInfo") -> "BregmanInfo":
         if other.k == 0:
@@ -229,7 +231,7 @@ def bregman_mean(g: Generator, points, weights=None):
     """The point whose gradient image is the weighted average of the inputs'."""
     pts = _points(g, points)
     w = _weights(weights, pts.shape[0])
-    return BregmanInfo._center(g, "left", _Evaluated(pts, None, g.gradient(pts)), w)[1]
+    return BregmanInfo._center(g, "left", _Points(g, pts), w)[1]
 
 
 @dataclass(frozen=True)
@@ -245,10 +247,9 @@ def _decompose(g: Generator, orientation: str, y, points, weights) -> Decomposit
     """Split the weighted loss of the points against y at the orientation's center."""
     pts = _points(g, points)
     w = _weights(weights, pts.shape[0])
-    info = BregmanInfo.of(g, orientation, _evaluate(g, orientation, pts, True), w)
+    info = BregmanInfo.of(g, orientation, _Points(g, pts), w)
     total = float(np.sum(w * bregman_div(g, *_oriented(orientation, y, pts))))
-    bias = float(bregman_div(g, *_oriented(orientation, y, info.center)))
-    return DecompositionReport(orientation, total, bias, info.v, info.center)
+    return DecompositionReport(orientation, total, info.bias(y), info.v, info.center)
 
 
 def decompose_left(g: Generator, x, points, weights=None) -> DecompositionReport:

@@ -4,9 +4,10 @@ An estimator maps a sample (last axis of an array) to a scalar estimate.
 Its dual image under a generator g is grad phi composed with the estimator.
 Averaging the dual image over permutations of the sample and mapping back
 through the inverse gradient never increases risk for losses of the form
-D(theta, delta); symmetrize() builds that improved estimator by brute force,
-and discrete_oracle.exact_rao_blackwell computes it exactly on a finite
-support by conditioning on the multiset of observations.
+D(theta, delta).  rao_blackwell_estimator names that improved estimator;
+symmetrize() computes it by brute force over all n! orderings (n <= 8), as a
+reference for discrete_oracle.exact_rao_blackwell, which computes it on a
+finite support by conditioning on the multiset of observations.
 """
 
 from __future__ import annotations
@@ -19,9 +20,7 @@ import numpy as np
 
 from .errors import BudgetError, ConfigError, UnsupportedError
 from .generators import Generator
-from .prng import derive_key, philox
 
-EXACT = "exact"
 MAX_EXACT_N = 8  # 8! = 40320 permutations
 
 _BLOCK_ELEMS = 1 << 22  # cap on rows * permutations held in memory at once
@@ -44,11 +43,13 @@ class Estimator:
         arr = np.asarray(x, dtype=float)
         if arr.ndim < 1:
             raise ConfigError("estimator input must have a sample axis")
-        if arr.shape[-1] < self.requires_min_n:
-            raise ConfigError(
-                f"estimator '{self.id}' needs n >= {self.requires_min_n}, got {arr.shape[-1]}"
-            )
+        self.check_n(arr.shape[-1])
         return self.fn(arr)
+
+    def check_n(self, n: int) -> None:
+        """Refuse a sample size below requires_min_n."""
+        if n < self.requires_min_n:
+            raise ConfigError(f"estimator '{self.id}' needs n >= {self.requires_min_n}, got {n}")
 
 
 @lru_cache(maxsize=None)
@@ -56,38 +57,36 @@ def _permutation_matrix(n: int) -> np.ndarray:
     return np.array(list(itertools.permutations(range(n))), dtype=np.intp)
 
 
-def _permutation_indices(n: int, budget, seed: int) -> np.ndarray:
-    if budget == EXACT:
-        if n > MAX_EXACT_N:
-            raise BudgetError(
-                f"exact symmetrization enumerates n! permutations; n = {n} exceeds"
-                f" the n <= {MAX_EXACT_N} budget, pass an integer budget instead"
-            )
-        return _permutation_matrix(n)
-    if isinstance(budget, bool) or not isinstance(budget, int):
-        raise ConfigError(f"budget must be EXACT or a positive int, got {budget!r}")
-    if budget < 1:
-        raise ConfigError(f"budget must be >= 1, got {budget}")
-    rng = philox(derive_key(seed, n))
-    # argsort of i.i.d. uniforms is a uniformly random permutation
-    return np.argsort(rng.random((budget, n)), axis=1)
+def rao_blackwell_estimator(g: Generator, e: Estimator, fn) -> Estimator:
+    """The estimator fn, which computes (grad phi)^-1(E[grad phi(e) | multiset of the sample]).
 
-
-def symmetrize(g: Generator, e: Estimator, budget=EXACT, seed: int = 0) -> Estimator:
-    """(grad phi)^-1 of the mean of grad phi(e) over permutations of each sample.
-
-    With budget=EXACT all n! permutations are enumerated (n <= 8); an integer
-    budget averages that many seeded uniform permutations instead.  The
-    returned estimator is permutation-invariant and carries over any type-I
-    unbiasedness claims of the base estimator (a dual-space average preserves
-    the dual-space mean).
+    Its id names g and e.  It keeps e's type-I claims, since a dual-space
+    average preserves the dual-space mean, and e's minimum n.
     """
-    suffix = "perms=all" if budget == EXACT else f"perms={budget}"
+    return Estimator(
+        id=f"rb[{g.id},perms=all]({e.id})",
+        fn=fn,
+        unbiasedness=frozenset(t for t in e.unbiasedness if t.startswith("type1")),
+        requires_min_n=e.requires_min_n,
+    )
+
+
+def symmetrize(g: Generator, e: Estimator) -> Estimator:
+    """(grad phi)^-1 of the mean of grad phi(e) over all n! permutations of each sample.
+
+    The brute-force reference for discrete_oracle.exact_rao_blackwell: the
+    returned estimator raises BudgetError on samples longer than n = 8.
+    """
 
     def fn(x):
         arr = np.asarray(x, dtype=float)
         n = arr.shape[-1]
-        idx = _permutation_indices(n, budget, seed)
+        if n > MAX_EXACT_N:
+            raise BudgetError(
+                f"exact symmetrization enumerates n! permutations; n = {n} exceeds"
+                f" the n <= {MAX_EXACT_N} budget"
+            )
+        idx = _permutation_matrix(n)
         flat = arr.reshape(-1, n)
         block = max(1, _BLOCK_ELEMS // idx.shape[0])
         eta = np.empty(flat.shape[0])
@@ -96,12 +95,7 @@ def symmetrize(g: Generator, e: Estimator, budget=EXACT, seed: int = 0) -> Estim
             eta[start : start + sub.shape[0]] = np.mean(g.gradient(e.fn(sub[:, idx])), axis=-1)
         return np.asarray(g.invert_gradient(eta.reshape(arr.shape[:-1])))
 
-    return Estimator(
-        id=f"rb[{g.id},{suffix}]({e.id})",
-        fn=fn,
-        unbiasedness=frozenset(t for t in e.unbiasedness if t.startswith("type1")),
-        requires_min_n=e.requires_min_n,
-    )
+    return rao_blackwell_estimator(g, e, fn)
 
 
 def _row_sum(x: np.ndarray) -> np.ndarray:

@@ -138,6 +138,12 @@ class Generator:
         return f"{type(self).__name__}(id={self.id!r}, dimension={self.dimension})"
 
 
+def require_dimension(g: Generator, d: int) -> None:
+    """Refuse g unless its points have d coordinates; scalar parameters and estimates need 1."""
+    if g.dimension != d:
+        raise ConfigError(f"generator '{g.id}' has dimension {g.dimension}; the points have {d}")
+
+
 def _ensure_finite(arr: np.ndarray, what: str) -> np.ndarray:
     v = _float_scalar(arr)
     if v is not None and math.isfinite(v):
@@ -201,7 +207,7 @@ class SeparableGenerator(Generator):
 class QuadraticGenerator(Generator):
     """phi(x) = 0.5 x' A x for a symmetric positive definite matrix A."""
 
-    def __init__(self, matrix, gen_id="mahalanobis"):
+    def __init__(self, matrix):
         a = np.asarray(matrix, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ConfigError(f"matrix must be square, got shape {a.shape}")
@@ -216,7 +222,7 @@ class QuadraticGenerator(Generator):
         except scipy.linalg.LinAlgError as exc:
             raise ConfigError(f"matrix is not positive definite: {exc}") from None
         d = a.shape[0]
-        super().__init__(gen_id, DomainSpec(d), DomainSpec(d))
+        super().__init__("mahalanobis", DomainSpec(d), DomainSpec(d))
         self.matrix = a
         self._cho = cho
 

@@ -15,15 +15,14 @@ derive the stream for grid point i from derive_key(seed, i); paired
 operations reuse one replicate set for every arm.
 
 A chunk computes each quantity once.  It takes an estimator's domain mask
-once and copies the in-domain estimates only when the mask drops one.  It
-evaluates phi at them once, and grad phi once where a left divergence or the
-left dual mean reads it.  Every per-replicate divergence (the loss against
-theta or against each grid parameter, and the Bregman information's sum
-against its center) is then one divergence._div on those arrays, with phi
-and grad phi of theta and of the grid parameters evaluated once per call and
-those of the center once per chunk.  This is the arithmetic bregman_div
-does, minus its repeats, so no float differs from evaluating every
-divergence with bregman_div.
+once and copies the in-domain estimates only when the mask drops one.  The
+estimates, theta, the grid parameters and the center are divergence._Points,
+which evaluate phi and grad phi once each, on first read.  Every
+per-replicate divergence (the loss against theta or against each grid
+parameter, and the Bregman information's sum against its center) is then one
+divergence._div on those arrays.  This is the arithmetic bregman_div does,
+minus its repeats, so no float differs from evaluating every divergence with
+bregman_div.
 """
 
 from __future__ import annotations
@@ -34,10 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import BregmanInfo, _evaluate, _loss, _merged_mean, _oriented, bregman_div
+from .divergence import BregmanInfo, _loss, _merged_mean, _Points
+from .divergence import bregman_div  # noqa: F401  uncalled; bench/spans.py wraps this name
 from .errors import ConfigError, NumericError
 from .estimators import Estimator
-from .generators import Generator
+from .generators import Generator, require_dimension
 from .models import CHUNK_ROWS, Model, map_chunks
 from .prng import derive_key, pairwise_sum
 
@@ -132,19 +132,16 @@ def _check_setup(
 ):
     if orientation not in ORIENTATIONS:
         raise ConfigError(f"orientation must be one of {ORIENTATIONS}, got {orientation!r}")
-    theta = float(theta)
-    model.param_space.check(np.asarray(theta), "theta")
+    theta = model._check_theta(theta)
     if g is not None:
-        if g.dimension != 1:
-            raise ConfigError("scalar-parameter models need a one-dimensional generator")
+        require_dimension(g, 1)
         g.domain.check(np.asarray(theta), "theta")
     if int(replicates) < MIN_REPLICATES:
         raise ConfigError(f"replicates must be >= {MIN_REPLICATES}, got {replicates}")
     if int(n) < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
     for e in estimators:
-        if int(n) < e.requires_min_n:
-            raise ConfigError(f"estimator '{e.id}' needs n >= {e.requires_min_n}, got {n}")
+        e.check_n(int(n))
     return theta
 
 
@@ -317,10 +314,10 @@ def estimate_risk(
     """
     theta = _check_setup(model, theta, n, [estimator], g, replicates, orientation)
 
-    y = _evaluate(g, orientation, theta, False)
+    y = _Points(g, theta)
 
     def reduce(est):
-        d = _evaluate(g, orientation, _in_domain(g, est.pop(estimator.id)), True)
+        d = _Points(g, _in_domain(g, est.pop(estimator.id)))
         info = BregmanInfo.of(g, orientation, d)
         loss = _loss(g, orientation, d, y)
         del d  # phi and grad phi make room for the loss moments' temporaries
@@ -334,7 +331,7 @@ def estimate_risk(
         estimator_id=estimator.id,
         orientation=orientation,
         risk=losses.mean,
-        bias_term=float(bregman_div(g, *_oriented(orientation, theta, info.center))),
+        bias_term=info.bias(theta),
         variance_term=info.v / info.k,
         center=info.center,
         se_risk=losses.se,
@@ -461,10 +458,10 @@ def lehmann_grid_check(
     for v in grid:
         g.domain.check(np.asarray(v), "grid parameter")
 
-    ys = [_evaluate(g, orientation, v, False) for v in grid]
+    ys = [_Points(g, v) for v in grid]
 
     def reduce(est):
-        d = _evaluate(g, orientation, _in_domain(g, est.pop(estimator.id)), True)
+        d = _Points(g, _in_domain(g, est.pop(estimator.id)))
         return [Moments.of(_loss(g, orientation, d, y)) for y in ys]
 
     parts = _stream(model, theta, n, [estimator], replicates, seed, workers, reduce)
@@ -510,15 +507,15 @@ def compare_estimators(
     e1, e2 = estimator_pair
     theta = _check_setup(model, theta, n, [e1, e2], g, replicates, orientation)
 
-    y = _evaluate(g, orientation, theta, False)
+    y = _Points(g, theta)
 
     def reduce(est):
         a = est.pop(e1.id)
         b = est.pop(e2.id, a)  # one entry when both arms are the same estimator
         keep = g.domain.mask(a) & g.domain.mask(b)
-        l1 = _loss(g, orientation, _evaluate(g, orientation, _kept(a, keep), True), y)
+        l1 = _loss(g, orientation, _Points(g, _kept(a, keep)), y)
         del a  # the first arm's estimates are not needed for the second
-        l2 = _loss(g, orientation, _evaluate(g, orientation, _kept(b, keep), True), y)
+        l2 = _loss(g, orientation, _Points(g, _kept(b, keep)), y)
         return Moments.of(l1), Moments.of(l2), Moments.of(l1 - l2)
 
     m1, m2, diff = _stream(model, theta, n, [e1, e2], replicates, seed, workers, reduce)

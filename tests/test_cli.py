@@ -590,3 +590,66 @@ def test_config_file_and_flags_echo_the_same_config(capsys, tmp_path, command):
     echoed = [line for line in out_flags.splitlines() if line.startswith("config:")]
     assert len(echoed) == 1
     assert echoed == [line for line in out_file.splitlines() if line.startswith("config:")]
+
+
+def test_oracle_rejects_a_two_dimensional_generator(capsys, tmp_path):
+    mat = tmp_path / "spd.mat"
+    mat.write_text("2\n2.0 0.5\n0.5 1.0\n")
+    code, out, err = run(
+        capsys, "oracle", "--m", "3", "--n", "2", "--gen", f"mahalanobis:{mat}",
+        "--estimator", "mean", "--theta", "1",
+    )
+    assert code == 2 and out == ""
+    assert "has dimension 2" in err and "have 1" in err
+
+
+def test_numeric_failure_exit_1_with_nothing_on_stdout(capsys):
+    # a constant outside neglog's domain drops every replicate
+    code, out, err = run(
+        capsys, "risk", "--model", "exp", "--gen", "neglog", "--estimator", "const:-1",
+        "--theta", "2", "--n", "3", "-M", "1000",
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("numeric failure: fewer than two replicates survived")
+
+
+# Usage errors, each with the text its message must contain.  Files named in
+# an argument are written into the working directory first.
+USAGE_ERRORS = {
+    "config-list": (
+        ["check", "--config", "list.json"], "config file must contain a JSON object",
+    ),
+    "lehmann-two-thetas": (
+        ["check", "--kind", "lehmann", "--model", "normal", "--gen", "sqeuclid",
+         "--estimator", "classical", "--theta", "1,2", "--grid", "1,2", "--n", "3", "-M", "1000"],
+        "takes a single --theta",
+    ),
+    "mahalanobis-no-path": (
+        ["divergence", "--gen", "mahalanobis:", "--x", "1", "--y", "2"],
+        "needs a matrix file path",
+    ),
+    "matrix-empty": (
+        ["divergence", "--gen", "mahalanobis:empty.mat", "--x", "1", "--y", "2"], "is empty",
+    ),
+    "matrix-malformed": (
+        ["divergence", "--gen", "mahalanobis:bad.mat", "--x", "1,2", "--y", "2,3"],
+        "is malformed",
+    ),
+    "normal-negative-variance": (
+        ["risk", "--model", "normal:-1", "--gen", "sqeuclid", "--estimator", "mean",
+         "--theta", "1", "--n", "3", "-M", "1000"],
+        "sigma2 must be positive",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_ERRORS))
+def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "empty.mat").write_text("")
+    (tmp_path / "bad.mat").write_text("2\n1 x\n0 1\n")
+    argv, message = USAGE_ERRORS[name]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err

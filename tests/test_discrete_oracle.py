@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from breglab import (
-    EXACT,
     BudgetError,
     ConfigError,
     DiscreteModel,
@@ -254,7 +253,7 @@ class TestExactRaoBlackwell:
         dm = DiscreteModel(tuple(support), n)
         vals = dm.outcome_values
         grouped = exact_rao_blackwell(dm, g, e).fn(vals)
-        brute = symmetrize(g, e, EXACT).fn(vals)
+        brute = symmetrize(g, e).fn(vals)
         npt.assert_allclose(grouped, brute, rtol=1e-13, atol=0.0)
 
     @settings(max_examples=40, deadline=None)
@@ -749,6 +748,17 @@ class TestDecompositions:
             verify_decompositions(dm, negative_log(1), bad, 1.0)
         with pytest.raises(DomainError, match=r"^x" + outside):
             verify_rb_inequality(dm, negative_log(1), bad, (1.0,))
+
+
+@pytest.mark.parametrize("check", [
+    lambda dm, g: verify_rb_inequality(dm, g, FIRST, (1.0,)),
+    lambda dm, g: verify_decompositions(dm, g, FIRST, 1.0),
+    lambda dm, g: exact_rao_blackwell(dm, g, FIRST),
+], ids=["rb", "decompositions", "exact_rao_blackwell"])
+def test_checks_refuse_a_two_dimensional_generator(check):
+    # the estimates are scalars, so only a one-dimensional generator applies
+    with pytest.raises(ConfigError, match="has dimension 2; the points have 1"):
+        check(DiscreteModel((1.0, 2.0), 2), squared_euclidean(2))
 
 
 class TestResolveDiscreteEstimator:

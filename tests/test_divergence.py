@@ -19,7 +19,7 @@ from breglab import (
     negative_log,
     squared_euclidean,
 )
-from breglab.divergence import BregmanInfo, _evaluate
+from breglab.divergence import BregmanInfo, _Points
 from breglab.generators import DomainSpec, SeparableGenerator, _ScalarRule
 
 A2 = np.array([[2.0, 0.5], [0.5, 1.0]])
@@ -232,7 +232,7 @@ class TestBregmanInfo:
     @pytest.mark.parametrize("orientation", ["left", "right"])
     def test_uniform_weights_match_unweighted(self, case, orientation):
         g, pts = self.CASES[case]
-        est = _evaluate(g, orientation, pts, True)
+        est = _Points(g, pts)
         plain = BregmanInfo.of(g, orientation, est)
         weighted = BregmanInfo.of(g, orientation, est, np.full(len(pts), 1.0 / len(pts)))
         assert plain.k == len(pts) and weighted.k == 1.0

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from breglab import (
-    EXACT,
     BudgetError,
     ConfigError,
     Estimator,
@@ -45,6 +44,10 @@ class TestEstimatorCalls:
     def test_min_n_enforced(self):
         with pytest.raises(ConfigError):
             head2_mean(np.array([1.0]))
+
+    def test_scalar_input_rejected(self):
+        with pytest.raises(ConfigError, match="must have a sample axis"):
+            first_obs(3.0)
 
     def test_const(self):
         e = const_estimator(2.5)
@@ -98,13 +101,6 @@ class TestSymmetrize:
         rb = symmetrize(negative_log(1), e)
         assert rb.unbiasedness == frozenset({"type1:neglog"})
 
-    def test_sampled_mode_reproducible(self):
-        g = negative_log(1)
-        rb = symmetrize(g, first_obs, budget=300, seed=2)
-        x = np.arange(1.0, 10.0).reshape(1, 9)
-        npt.assert_array_equal(rb(x), symmetrize(g, first_obs, budget=300, seed=2)(x))
-        assert rb.id == "rb[neglog,perms=300](first)"
-
     def test_exact_budget_limit_applies(self):
         rb = symmetrize(negative_log(1), first_obs)
         with pytest.raises(BudgetError):
@@ -118,19 +114,6 @@ class TestSymmetrize:
         prod12 = Estimator("prod12", lambda x: x[..., 0] * x[..., 1], requires_min_n=2)
         rb = symmetrize(squared_euclidean(1), prod12)
         npt.assert_allclose(rb(np.array([1.0, 2.0, 3.0])), 22.0 / 6.0)
-
-    def test_sampled_budget_depends_on_the_seed(self):
-        g = squared_euclidean(1)
-        x = np.arange(1.0, 10.0)  # n = 9, exact enumeration unavailable
-        a = symmetrize(g, first_obs, budget=400, seed=5)(x)
-        assert a == symmetrize(g, first_obs, budget=400, seed=5)(x)
-        assert a != symmetrize(g, first_obs, budget=400, seed=6)(x)
-
-    @pytest.mark.parametrize("budget", [0, -3, 2.5, True])
-    def test_bad_budgets(self, budget):
-        rb = symmetrize(squared_euclidean(1), first_obs, budget=budget)
-        with pytest.raises(ConfigError):
-            rb(np.array([1.0, 2.0]))
 
 
 class TestType1Registry:

@@ -19,7 +19,6 @@ from breglab import (
     DomainError,
     Estimator,
     ExponentialModel,
-    LogNormalModel,
     NormalModel,
     NumericError,
     bregman_div,
@@ -39,7 +38,8 @@ from breglab import (
 )
 from breglab.prng import derive_key, pairwise_sum
 from breglab.generators import SeparableGenerator
-from breglab.risk_lab import BregmanInfo, Moments, _evaluate, _stream
+from breglab.divergence import _Points
+from breglab.risk_lab import BregmanInfo, Moments, _stream
 
 EXP = ExponentialModel()
 NEGLOG = negative_log(1)
@@ -109,6 +109,10 @@ class TestEstimateRisk:
             estimate_risk(NormalModel(), -1.0, 5, NormalModel().classical_umvue, NEGLOG, "left", 2000, seed=0)
         with pytest.raises(ConfigError):
             estimate_risk(EXP, 2.0, 5, mean_estimator(), negative_log(2), "left", 2000, seed=0)
+
+    def test_empty_sample_rejected(self):
+        with pytest.raises(ConfigError, match="n must be >= 1, got 0"):
+            estimate_risk(EXP, 2.0, 0, mean_estimator(), NEGLOG, "left", 2000, seed=0)
 
 
 class TestDropAccounting:
@@ -292,7 +296,7 @@ class TestPartials:
         _close(m.m4, sums[2], sums[2])
         for orientation in ("left", "right"):
             info = pairwise_sum(
-                [BregmanInfo.of(g, orientation, _evaluate(g, orientation, p, True)) for p in parts]
+                [BregmanInfo.of(g, orientation, _Points(g, p)) for p in parts]
             )
             if orientation == "left":
                 center = float(g.invert_gradient(np.mean(g.gradient(x))))
