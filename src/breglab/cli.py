@@ -10,6 +10,11 @@ _COMMON, and a config value is parsed exactly like the flag; a malformed
 value, or a key no subcommand declares, exits 2 before anything runs.  The
 resolved configuration is echoed on stdout and embedded in any file written
 with --out.
+
+At module level this file imports only the standard library and `errors`.
+Each command imports the modules it runs when it runs, and `main` imports
+`reporting` only to write --out, so --help and every usage error load no
+numpy.
 """
 
 from __future__ import annotations
@@ -19,11 +24,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import reporting
-from .discrete_oracle import DiscreteModel, verify_decompositions_grid, verify_rb_inequality
-from .divergence import bregman_div, dual_transport
 from .errors import (
     BudgetError,
     ConfigError,
@@ -32,19 +32,31 @@ from .errors import (
     RangeError,
     UnsupportedError,
 )
-from .estimators import build_type1_umvue, first_k_estimator, resolve_estimator
-from .generators import require_dimension, resolve_generator
-from .models import ExponentialModel, LogNormalModel, resolve_model
-from .risk_lab import (
-    _unbiasedness_checks,
-    check_type1_unbiased,
-    check_type2_unbiased,
-    compare_estimators,
-    estimate_risk,
-    lehmann_grid_check,
-)
 
 _USAGE_ERRORS = (ConfigError, UnsupportedError, DomainError, RangeError, BudgetError)
+
+
+def _risk_lab(name: str):
+    """A module global that calls risk_lab.<name>, importing risk_lab on the first call.
+
+    bench/spans.py times these runners by replacing them in this module's
+    globals, so the commands must call them through these names.  Once the
+    package traces itself (ROADMAP item 2) this coupling can go.
+    """
+
+    def run(*args, **kwargs):
+        from . import risk_lab
+
+        return getattr(risk_lab, name)(*args, **kwargs)
+
+    run.__name__ = run.__qualname__ = name
+    return run
+
+
+estimate_risk = _risk_lab("estimate_risk")
+check_type1_unbiased = _risk_lab("check_type1_unbiased")
+check_type2_unbiased = _risk_lab("check_type2_unbiased")
+compare_estimators = _risk_lab("compare_estimators")
 
 
 def _float_list(text: str) -> list[float]:
@@ -144,6 +156,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_divergence(cfg: dict):
+    import numpy as np
+
+    from .divergence import bregman_div, dual_transport
+    from .generators import require_dimension, resolve_generator
+
     xs = _float_list(cfg["x"])
     ys = _float_list(cfg["y"])
     if len(xs) != len(ys):
@@ -159,6 +176,10 @@ def cmd_divergence(cfg: dict):
 
 
 def cmd_risk(cfg: dict):
+    from .estimators import resolve_estimator
+    from .generators import resolve_generator
+    from .models import resolve_model
+
     model = resolve_model(cfg["model"])
     g = resolve_generator(cfg["gen"], dim=1)
     e = resolve_estimator(cfg["estimator"], model, g)
@@ -178,6 +199,11 @@ def _verdict_word(v: bool) -> str:
 
 
 def cmd_check(cfg: dict):
+    from .estimators import resolve_estimator
+    from .generators import resolve_generator
+    from .models import resolve_model
+    from .risk_lab import lehmann_grid_check
+
     model = resolve_model(cfg["model"])
     g = resolve_generator(cfg["gen"], dim=1) if cfg["gen"] else None
     e = resolve_estimator(cfg["estimator"], model, g)
@@ -217,6 +243,10 @@ def cmd_check(cfg: dict):
 
 
 def cmd_compare(cfg: dict):
+    from .estimators import resolve_estimator
+    from .generators import resolve_generator
+    from .models import resolve_model
+
     model = resolve_model(cfg["model"])
     g = resolve_generator(cfg["gen"], dim=1)
     e1 = resolve_estimator(cfg["e1"], model, g)
@@ -235,6 +265,10 @@ def cmd_compare(cfg: dict):
 
 
 def cmd_oracle(cfg: dict):
+    from .discrete_oracle import DiscreteModel, verify_decompositions_grid, verify_rb_inequality
+    from .estimators import resolve_estimator
+    from .generators import resolve_generator
+
     if cfg["support"] is not None:
         support = _float_list(cfg["support"])
     elif cfg["m"] is not None:
@@ -275,6 +309,11 @@ def cmd_oracle(cfg: dict):
 
 
 def cmd_reproduce(cfg: dict):
+    from .estimators import build_type1_umvue, first_k_estimator
+    from .generators import resolve_generator
+    from .models import ExponentialModel, LogNormalModel
+    from .risk_lab import _unbiasedness_checks
+
     if cfg["example"] == "exp":
         model, g = ExponentialModel(), resolve_generator("neglog", 1)
         theta, n, k = 2.0, 5, 3
@@ -399,6 +438,8 @@ def main(argv=None) -> int:
     for line in lines:
         print(line)
     if cfg["out"]:
+        from . import reporting
+
         with open(cfg["out"], "w") as fh:
             fh.write(reporting.render(reports, cfg["format"], cfg))
     # plain dict rows (divergence, oracle) carry no validity flag

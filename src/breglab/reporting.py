@@ -2,7 +2,13 @@
 
 Every rendered document embeds the package version and the resolved run
 configuration.  Floats are serialized with their shortest round-trip
-representation, so identical reports always produce identical bytes.
+representation, so identical reports always produce identical bytes.  A
+non-finite float is written as the string "inf", "-inf" or "nan", the token
+CSV gives it, so a JSON document stays strict JSON; rendering refuses any
+other non-finite value instead of writing a non-standard token.
+
+Only the standard library is imported here, so writing a report loads no
+module that the command did not run.
 """
 
 from __future__ import annotations
@@ -11,9 +17,10 @@ import csv
 import dataclasses
 import io
 import json
+import math
+import sys
 
 from . import __version__ as VERSION
-from .risk_lab import LehmannGridReport
 
 
 def record(report) -> dict:
@@ -32,15 +39,17 @@ def _plain(v):
     if isinstance(v, bool) or v is None or isinstance(v, (int, str)):
         return v
     if isinstance(v, float):
-        return v
+        return v if math.isfinite(v) else str(float(v))
     if hasattr(v, "item"):
-        return v.item()
+        return _plain(v.item())
     return str(v)
 
 
 def rows_for(report) -> list[dict]:
     """CSV rows for a report: one row, except grid reports expand per point."""
-    if isinstance(report, LehmannGridReport):
+    # a grid report exists only once risk_lab is loaded, so look it up there
+    risk_lab = sys.modules.get(f"{__package__}.risk_lab")
+    if risk_lab is not None and isinstance(report, risk_lab.LehmannGridReport):
         base = record(report)
         grid = base.pop("grid")
         means = base.pop("means")
@@ -56,20 +65,25 @@ def rows_for(report) -> list[dict]:
     return [record(report)]
 
 
+def _json(v) -> str:
+    """Compact, key-sorted, strict JSON: a non-finite float raises rather than write Infinity or NaN."""
+    return json.dumps(v, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def render_json(reports, config=None) -> str:
     payload = {
         "version": VERSION,
         "config": config or {},
         "reports": [record(r) for r in reports],
     }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    return _json(payload) + "\n"
 
 
 def render_csv(reports, config=None) -> str:
     rows = [row for r in reports for row in rows_for(r)]
     buf = io.StringIO()
     header = {"version": VERSION, "config": config or {}}
-    buf.write("# " + json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
+    buf.write("# " + _json(header) + "\n")
     if rows:
         fields = list(rows[0])
         for row in rows[1:]:

@@ -150,35 +150,82 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 
 _PROBE = """
 import json, sys
+
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith({prefixes!r}))
+
+
 import breglab
+imported = loaded()
 from breglab.cli import main
 
-
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.startswith("scipy"))
-
-
-before = scipy_modules()
+before = loaded()
 result = {call}
-print(json.dumps([result, before, scipy_modules()]))
+print(json.dumps([result, before, loaded()]))
 """
 
 
-def fresh(call: str):
-    """(value, scipy modules after the import, scipy modules at the end) of call in a new interpreter.
+def fresh(call: str, prefixes=("scipy",)):
+    """(value, modules after the import, modules at the end) of call in a new interpreter.
 
     call is a Python expression; the probe has imported breglab and
-    breglab.cli.main before it runs.
+    breglab.cli.main before it runs, and ``imported`` holds the modules that
+    ``import breglab`` alone loaded.  Only modules whose names start with one
+    of prefixes are reported.
     """
     src = os.path.dirname(os.path.dirname(os.path.abspath(breglab.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE.format(call=call)],
+        [sys.executable, "-c", _PROBE.format(call=call, prefixes=tuple(prefixes))],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     value, before, after = json.loads(proc.stdout.splitlines()[-1])
     return value, set(before), set(after)
+
+
+class TestStartUpFootprint:
+    """Start-up loads only what the command runs: numpy and the package's own modules."""
+
+    PREFIXES = ("numpy", "breglab")
+    CLI = {"breglab", "breglab.cli", "breglab.errors"}
+
+    def test_import_breglab_loads_only_the_package(self):
+        imported, before, _ = fresh("imported", self.PREFIXES)
+        assert imported == ["breglab"]
+        assert before == self.CLI
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"],
+        ["risk", "--model", "exp"],
+        ["risk", "--orientation", "up"],
+        ["oracle", "--n", "2", "--gen", "sqeuclid", "--estimator", "mean", "--theta", "1",
+         "--workers", "0"],
+    ], ids=["help", "missing-option", "bad-choice", "option-table-value"])
+    def test_help_and_usage_errors_load_no_numpy(self, argv):
+        code, _, after = fresh(f"main({argv!r})", self.PREFIXES)
+        assert code == (0 if argv == ["--help"] else 2)
+        assert after == self.CLI
+
+    ORACLE = ["oracle", "--m", "3", "--n", "3", "--gen", "negentropy", "--estimator", "first-k:1",
+              "--theta", "0.5,1.0"]
+    RISK = ["risk", "--model", "exp", "--gen", "neglog", "--estimator", "classical",
+            "--theta", "2.0", "--n", "3", "-M", "2000"]
+
+    @pytest.mark.parametrize("argv, out, unloaded", [
+        (["divergence", "--gen", "neglog", "--x", "2", "--y", "1"], False,
+         {"risk_lab", "models", "estimators", "discrete_oracle", "reporting"}),
+        (ORACLE, True, {"risk_lab", "models"}),
+        ([*ORACLE, "--format", "csv"], True, {"risk_lab", "models"}),
+        (RISK, True, {"discrete_oracle"}),
+    ], ids=["divergence", "oracle-out", "oracle-out-csv", "risk-out"])
+    def test_commands_load_only_their_modules(self, tmp_path, argv, out, unloaded):
+        argv = [*argv, "--out", str(tmp_path / "out")] if out else argv
+        code, _, after = fresh(f"main({argv!r})", self.PREFIXES)
+        assert code == 0 and "numpy" in after
+        assert ("breglab.reporting" in after) == out
+        assert not {f"breglab.{m}" for m in unloaded} & after
 
 
 class TestImportFootprint:
@@ -311,6 +358,39 @@ class TestCheckCommand:
             assert "(INVALID)" in out and "argmin at" not in out and "argmin off" not in out
         else:
             assert "-> INVALID" in out and "PASS" not in out and "FAIL" not in out
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_zero_se_writes_strict_json(self, capsys, tmp_path, fmt):
+        # a constant estimate has se 0, so its z is -inf: JSON has no token for that
+        path = tmp_path / f"c.{fmt}"
+        code, out, _ = run(
+            capsys, "check", "--kind", "type2", "--model", "exp", "--estimator", "const:1",
+            "--theta", "2", "--n", "3", "-M", "2000", "--format", fmt, "--out", str(path),
+        )
+        assert code == 0 and "z = -inf -> FAIL" in out
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        if fmt == "json":
+            (report,) = json.loads(path.read_text(), parse_constant=refuse)["reports"]
+            assert report["se"] == 0.0 and report["z"] == "-inf"
+        else:
+            header, *lines = path.read_text().splitlines()
+            json.loads(header[2:], parse_constant=refuse)
+            (row,) = csv.DictReader(lines)
+            assert row["se"] == "0.0" and row["z"] == "-inf"
+
+
+def test_non_finite_floats_render_as_csv_tokens():
+    from breglab.reporting import render, render_json
+
+    report = {"a": float("inf"), "b": -np.inf, "c": np.float32("nan"), "d": [np.float64(-np.inf)]}
+    (rec,) = json.loads(render([report], "json"))["reports"]
+    assert rec == {"a": "inf", "b": "-inf", "c": "nan", "d": ["-inf"]}
+    # a non-finite value that bypasses the report flattening is refused, not written
+    with pytest.raises(ValueError):
+        render_json([], {"theta": float("inf")})
 
 
 class TestCompareCommand:
