@@ -417,12 +417,38 @@ _COMMANDS = {
 }
 # config-file keys: a key of another subcommand is allowed, one of none is a typo
 _KNOWN_KEYS = {*_COMMON, *_CONFIG}.union(*(opts for _, _, opts in _COMMANDS.values()))
+_FLOAT_FLAGS = {
+    f"--{key}" for _, _, opts in _COMMANDS.values()
+    for key, (parse, *_) in opts.items() if parse in (float, _floats)
+}
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argv with each float flag and a following negative value joined, as in --theta=-0.5,-1.
+
+    argparse takes a token that starts with "-" for an option unless it is a
+    plain negative decimal, so --theta -1e-3 and --theta -0.5,-1 would exit 2
+    with "expected one argument".  A token that does not parse as floats is
+    left alone, so an unknown option still fails in argparse.
+    """
+    out = []
+    for tok in argv:
+        if out and out[-1] in _FLOAT_FLAGS and tok.startswith("-"):
+            try:
+                _floats(tok)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"{out[-1]}={tok}"
+                continue
+        out.append(tok)
+    return out
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -12,9 +12,9 @@ Shape conventions: a generator of dimension d > 1 treats the last axis of an
 array as the coordinate axis.  A generator of dimension 1 is elementwise,
 so arrays of any shape are batches of scalar points.
 
-Only the quadratic (Mahalanobis) generator uses scipy: it imports
-``scipy.linalg`` where it factors and solves with its matrix, so a process
-that builds no such generator never loads it.
+Generators use numpy alone.  The quadratic (Mahalanobis) generator factors
+its matrix with ``np.linalg.cholesky`` and solves with the factor by
+substitution, so building or inverting one loads no scipy module.
 """
 
 from __future__ import annotations
@@ -74,8 +74,12 @@ class DomainSpec:
         return f"open interval ({self.lo}, {self.hi})"
 
     def mask(self, arr: np.ndarray) -> np.ndarray:
-        """Elementwise membership, False for non-finite entries."""
-        return np.isfinite(arr) & (arr > self.lo) & (arr < self.hi)
+        """Elementwise membership, False for non-finite entries.
+
+        lo and hi are never nan, so the strict comparisons reject nan, and
+        -inf and +inf fail lo < x < hi for every kind.
+        """
+        return (arr > self.lo) & (arr < self.hi)
 
     def contains(self, x) -> bool:
         return bool(np.all(self.mask(np.asarray(x, dtype=float))))
@@ -205,7 +209,14 @@ class SeparableGenerator(Generator):
 
 
 class QuadraticGenerator(Generator):
-    """phi(x) = 0.5 x' A x for a symmetric positive definite matrix A."""
+    """phi(x) = 0.5 x' A x for a symmetric positive definite matrix A.
+
+    A is accepted when it is symmetric to 1e-12 of its largest entry, and is
+    then stored with its lower triangle mirrored, so the value, the gradient
+    and the Cholesky factor A = L L' all read one matrix.  The inverse
+    gradient solves A x = y by forward substitution with L and back
+    substitution with L'; see _solve.
+    """
 
     def __init__(self, matrix):
         a = np.asarray(matrix, dtype=float)
@@ -213,18 +224,18 @@ class QuadraticGenerator(Generator):
             raise ConfigError(f"matrix must be square, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ConfigError("matrix has non-finite entries")
-        if not np.allclose(a, a.T, rtol=1e-12, atol=1e-12):
+        if np.any(np.abs(a - a.T) > 1e-12 * np.max(np.abs(a), initial=0.0)):
             raise ConfigError("matrix is not symmetric")
-        import scipy.linalg
-
-        try:
-            cho = scipy.linalg.cho_factor(a, lower=True)
-        except scipy.linalg.LinAlgError as exc:
-            raise ConfigError(f"matrix is not positive definite: {exc}") from None
         d = a.shape[0]
+        a = np.where(np.tri(d, dtype=bool), a, a.T)
+        try:
+            chol = np.linalg.cholesky(a)
+        except np.linalg.LinAlgError as exc:
+            raise ConfigError(f"matrix is not positive definite: {exc}") from None
         super().__init__("mahalanobis", DomainSpec(d), DomainSpec(d))
         self.matrix = a
-        self._cho = cho
+        self._chol = chol
+        self._rdiag = 1.0 / np.diag(chol)
 
     def _lift(self, arr):
         # elementwise d = 1 inputs gain a coordinate axis for the matrix algebra
@@ -244,12 +255,29 @@ class QuadraticGenerator(Generator):
         return _ensure_finite(out, "gradient")
 
     def _solve(self, arr):
-        import scipy.linalg
+        """A^{-1} y for each point y: solve L z = y, then L' x = z.
 
+        The loops run over the d coordinates, each step vectorised over the
+        batch: subtract the solved coordinates in ascending order, then
+        multiply by the reciprocal pivot, as BLAS trsm does.  For a diagonal
+        A this is scipy's cho_solve bit for bit.
+        """
         v, lifted = self._lift(arr)
-        flat = v.reshape(-1, self.matrix.shape[0])
-        sol = scipy.linalg.cho_solve(self._cho, flat.T).T.reshape(v.shape)
-        return sol[..., 0] if lifted else sol
+        chol, rdiag = self._chol, self._rdiag
+        d = chol.shape[0]
+        z = np.empty(v.shape)
+        for i in range(d):
+            acc = v[..., i]
+            for j in range(i):
+                acc = acc - chol[i, j] * z[..., j]
+            z[..., i] = acc * rdiag[i]
+        x = np.empty(v.shape)
+        for i in reversed(range(d)):
+            acc = z[..., i]
+            for j in range(i + 1, d):
+                acc = acc - chol[j, i] * x[..., j]
+            x[..., i] = acc * rdiag[i]
+        return x[..., 0] if lifted else x
 
     def invert_gradient(self, y):
         arr = self._canon(y, self.dual_domain, "dual point", RangeError)

@@ -202,7 +202,8 @@ class TestStartUpFootprint:
         ["risk", "--orientation", "up"],
         ["oracle", "--n", "2", "--gen", "sqeuclid", "--estimator", "mean", "--theta", "1",
          "--workers", "0"],
-    ], ids=["help", "missing-option", "bad-choice", "option-table-value"])
+        ["divergence", "--gen", "sqeuclid", "--x", "-1e-3", "--y", "-1,-2", "-q"],
+    ], ids=["help", "missing-option", "bad-choice", "option-table-value", "negative-values"])
     def test_help_and_usage_errors_load_no_numpy(self, argv):
         code, _, after = fresh(f"main({argv!r})", self.PREFIXES)
         assert code == (0 if argv == ["--help"] else 2)
@@ -229,7 +230,7 @@ class TestStartUpFootprint:
 
 
 class TestImportFootprint:
-    """Which commands load scipy at all: only normal draws and Mahalanobis generators need it."""
+    """Which commands load scipy at all: only normal and lognormal draws need it."""
 
     RISK = ("--estimator", "classical", "--theta", "2.0", "--n", "3", "-M", "2000")
 
@@ -240,11 +241,18 @@ class TestImportFootprint:
 
     @pytest.mark.parametrize("argv", [
         ["divergence", "--gen", "neglog", "--x", "2", "--y", "1"],
+        ["divergence", "--gen", "mahalanobis:{mat2}", "--x", "1,0", "--y", "0,0"],
         ["risk", "--model", "exp", "--gen", "neglog", *RISK],
         ["oracle", "--m", "3", "--n", "3", "--gen", "negentropy", "--estimator", "first-k:1",
          "--theta", "0.5,1.0"],
-    ], ids=["divergence", "risk-exp", "oracle"])
-    def test_scipy_free_commands_load_no_scipy(self, argv):
+        ["oracle", "--m", "3", "--n", "2", "--gen", "mahalanobis:{mat1}", "--estimator", "mean",
+         "--theta", "1"],
+    ], ids=["divergence", "divergence-mahalanobis", "risk-exp", "oracle", "oracle-mahalanobis"])
+    def test_scipy_free_commands_load_no_scipy(self, tmp_path, argv):
+        mats = {"mat1": tmp_path / "a1.mat", "mat2": tmp_path / "a2.mat"}
+        mats["mat1"].write_text("1\n1.5\n")
+        mats["mat2"].write_text("2\n2.0 0.5\n0.5 1.0\n")
+        argv = [tok.format(**mats) for tok in argv]
         code, _, after = fresh(f"main({argv!r})")
         assert code == 0 and after == set()
 
@@ -255,10 +263,10 @@ class TestImportFootprint:
         assert "scipy.special" not in before and "scipy.special" in after
         assert "scipy.linalg" not in after
 
-    def test_mahalanobis_loads_scipy_linalg(self):
-        dim, before, after = fresh("breglab.mahalanobis([[1.5]]).dimension")
-        assert dim == 1
-        assert "scipy.linalg" not in before and "scipy.linalg" in after
+    def test_mahalanobis_loads_no_scipy(self):
+        x, before, after = fresh("float(breglab.mahalanobis([[1.5]]).invert_gradient(3.0))")
+        assert x == pytest.approx(2.0, rel=1e-15)
+        assert before == set() and after == set()
 
     def test_first_draw_inside_worker_pool_is_worker_invariant(self, capsys, tmp_path):
         # the lognormal transform's first scipy.special import happens on the
@@ -301,6 +309,54 @@ class TestConfigFiles:
         assert code == 2
         code, _, _ = run(capsys, "risk", "--config", str(tmp_path / "missing.json"))
         assert code == 2
+
+
+class TestNegativeValues:
+    """A float option takes a negative value in any form, as a separate token or after '='."""
+
+    def test_scientific_notation_theta(self, capsys):
+        argv = ["risk", "--model", "normal", "--gen", "sqeuclid", "--estimator", "mean",
+                "--n", "3", "-M", "1000"]
+        code, out, _ = run(capsys, *argv, "--theta", "-1e-3")
+        assert code == 0 and '"theta": -0.001' in out
+        assert out == run(capsys, *argv, "--theta=-1e-3")[1]
+
+    def test_list_with_negatives(self, capsys):
+        argv = ["check", "--kind", "type2", "--model", "normal", "--estimator", "mean",
+                "--n", "3", "-M", "1000"]
+        code, out, _ = run(capsys, *argv, "--theta", "-0.5,-1")
+        assert code == 0 and '"theta": "-0.5,-1"' in out and out.count("-> PASS") == 2
+        assert out == run(capsys, *argv, "--theta=-0.5,-1")[1]
+
+    def test_negative_point(self, capsys):
+        code, out, _ = run(capsys, "divergence", "--gen", "sqeuclid", "--x", "-1e0,1",
+                           "--y", "-1e2,1")
+        assert code == 0 and "bregman_divergence = 4900.5" in out
+
+    def test_huge_negative_point_is_parsed(self, capsys):
+        # parsed as a value; the generator then overflows in phi(y)
+        with np.errstate(over="ignore"):
+            code, _, err = run(capsys, "divergence", "--gen", "sqeuclid", "--x", "1",
+                               "--y", "-1e200")
+        assert code == 1 and "numeric failure" in err
+
+    def test_config_file_negative_list(self, capsys, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({
+            "kind": "type2", "model": "normal", "estimator": "mean", "theta": "-0.5,-1",
+            "n": 3, "replicates": 1000,
+        }))
+        code, out, _ = run(capsys, "check", "--config", str(cfgfile))
+        assert code == 0 and '"theta": "-0.5,-1"' in out and out.count("-> PASS") == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["divergence", "--gen", "sqeuclid", "--x", "1", "--y", "2", "-q"],
+        ["divergence", "--gen", "sqeuclid", "--x", "-q", "--y", "2"],
+        ["divergence", "--gen", "sqeuclid", "--x", "1", "--y", "-1,-"],
+    ], ids=["unknown-option", "option-as-value", "not-a-float-list"])
+    def test_other_dash_tokens_stay_usage_errors(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "usage:" in err
 
 
 class TestCheckCommand:

@@ -3,6 +3,9 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from breglab import (
     ConfigError,
@@ -19,6 +22,13 @@ from breglab import (
 )
 
 A2 = np.array([[2.0, 0.5], [0.5, 1.0]])
+EPS = np.finfo(float).eps
+
+
+def spd(entries, d, ridge):
+    """A symmetric positive definite d x d matrix from d*d of entries and a ridge."""
+    b = np.array(entries[: d * d]).reshape(d, d)
+    return b @ b.T + ridge * np.eye(d)
 
 
 def interior_points(g, rng, count, dim):
@@ -216,6 +226,82 @@ class TestMatrixValidation:
     def test_nonsquare_rejected(self):
         with pytest.raises(ConfigError):
             mahalanobis([[1.0, 0.0]])
+
+    def test_asymmetry_is_relative_to_the_largest_entry(self):
+        # every entry is below 1e-12, yet the off-diagonal pair differs by 50
+        # times the largest diagonal entry
+        with pytest.raises(ConfigError, match="not symmetric"):
+            mahalanobis([[1e-20, 5e-13], [0.0, 1e-20]])
+
+    @pytest.mark.parametrize("k", [-400, 0, 400])
+    def test_power_of_two_scalings_accepted_bit_for_bit(self, k):
+        a = A2 * 2.0**k
+        g = mahalanobis(a)
+        assert np.array_equal(g.matrix, a)
+        # scaling A by an even power of two scales its factor exactly
+        x = np.array([1.0, -2.0])
+        ref = mahalanobis(A2)
+        assert np.array_equal(g.gradient(x), ref.gradient(x) * 2.0**k)
+        assert np.array_equal(g.invert_gradient(g.gradient(x)), ref.invert_gradient(ref.gradient(x)))
+
+    def test_near_symmetric_matrix_is_stored_mirrored(self):
+        g = mahalanobis([[2.0, 0.5 + 1e-13], [0.5, 1.0]])
+        assert np.array_equal(g.matrix, A2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        entries=st.lists(st.floats(-1.0, 1.0), min_size=25, max_size=25),
+        d=st.integers(1, 5),
+        ridge=st.floats(1e-3, 1.0),
+        k=st.sampled_from([-400, 0, 400]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gradient_round_trip_within_condition_number(self, entries, d, ridge, k, seed):
+        g = mahalanobis(spd(entries, d, ridge) * 2.0**k)
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(50, d)) * np.exp(rng.uniform(-20.0, 20.0, (50, 1)))
+        back = np.reshape(g.invert_gradient(g.gradient(x[..., 0] if d == 1 else x)), x.shape)
+        err = np.linalg.norm(back - x, axis=-1) / np.linalg.norm(x, axis=-1)
+        assert np.all(err <= 4.0 * EPS * np.linalg.cond(g.matrix))
+
+
+class TestScipyReference:
+    """The numpy factor and substitution against scipy's cho_factor and cho_solve."""
+
+    @staticmethod
+    def reference(a, y):
+        return scipy.linalg.cho_solve(scipy.linalg.cho_factor(a, lower=True), y.T).T
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_diagonal_matrices_bit_for_bit(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(20):
+            a = np.diag(np.exp(rng.uniform(-20.0, 20.0, d)))
+            y = rng.normal(size=(500, d)) * np.exp(rng.uniform(-20.0, 20.0, (500, d)))
+            got = mahalanobis(a).invert_gradient(y[:, 0] if d == 1 else y)
+            assert np.array_equal(np.reshape(got, y.shape), self.reference(a, y))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        entries=st.lists(st.floats(-1.0, 1.0), min_size=25, max_size=25),
+        d=st.integers(2, 5),
+        ridge=st.floats(1e-3, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_dense_matrices_within_condition_number(self, entries, d, ridge, seed):
+        g = mahalanobis(spd(entries, d, ridge))
+        rng = np.random.default_rng(seed)
+        y = rng.normal(size=(200, d)) * np.exp(rng.uniform(-20.0, 20.0, (200, 1)))
+        ref = self.reference(g.matrix, y)
+        err = np.linalg.norm(g.invert_gradient(y) - ref, axis=-1) / np.linalg.norm(ref, axis=-1)
+        assert np.all(err <= 4.0 * EPS * np.linalg.cond(g.matrix))
+
+    @pytest.mark.parametrize("a", [[[-1.0]], [[0.0]], [[1.0, 1.0], [1.0, 1.0]],
+                                   [[1.0, 2.0], [2.0, 1.0]], np.diag([1.0, -1e-300])],
+                             ids=["negative", "zero", "singular", "indefinite", "tiny-negative"])
+    def test_not_positive_definite_raises(self, a):
+        with pytest.raises(ConfigError, match="not positive definite"):
+            mahalanobis(a)
 
 
 class TestRegistry:

@@ -7,6 +7,10 @@ nothing, so both are exempt, as are the names listed in KEPT.
 
 `breglab` resolves its public names on first access; the tests below pin that
 it exports the same objects the eager namespace did.
+
+src/ may import scipy only as `scipy.special`, and only inside a function
+body: a module-level scipy import would put scipy's start-up cost on every
+command, and `scipy.linalg` alone adds about 28 MB of resident memory.
 """
 
 import ast
@@ -57,6 +61,55 @@ def test_kept_names_are_still_imported():
         bound = {a.asname or a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
                  for a in n.names}
         assert name in bound, f"{rel} no longer imports {name}; drop it from KEPT"
+
+
+def disallowed_scipy_imports(source: str) -> list[str]:
+    """Each scipy import in source other than scipy.special inside a function, as 'line: module'."""
+    found = []
+
+    def visit(node, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                modules = [a.name for a in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.module == "scipy":
+                modules = [f"scipy.{a.name}" for a in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                modules = [child.module]
+            else:
+                modules = []
+            for module in modules:
+                top = module.partition(".")[0]
+                special = module == "scipy.special" or module.startswith("scipy.special.")
+                if top == "scipy" and not (special and in_function):
+                    found.append(f"{child.lineno}: {module}")
+            visit(child, in_function or isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+
+    visit(ast.parse(source), False)
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in FILES if p.is_relative_to(ROOT / "src")],
+                         ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_scipy_only_as_special_inside_functions(path):
+    assert disallowed_scipy_imports(path.read_text()) == []
+
+
+def test_scipy_import_scan_catches_each_form():
+    source = (
+        "import scipy\n"
+        "from scipy.special import ndtri\n"
+        "def f():\n"
+        "    import scipy.linalg\n"
+        "    from scipy import linalg, special\n"
+        "    from scipy.special import ndtri\n"
+        "    import scipy.special as sp\n"
+        "class C:\n"
+        "    import scipy.special\n"
+    )
+    assert disallowed_scipy_imports(source) == [
+        "1: scipy", "2: scipy.special", "4: scipy.linalg", "5: scipy.linalg", "9: scipy.special",
+    ]
 
 
 # The names `breglab` exported when it imported every submodule eagerly, by

@@ -4,6 +4,8 @@ DomainSpec.check, generators._ensure_finite and divergence._clamped pass a
 valid float64 scalar with plain float comparisons.  A 0-d input must behave
 exactly like the same value in a 1-element array: the same raise or no raise,
 the same exception type and message, and for _clamped the same float bits.
+DomainSpec.mask leaves out an explicit finiteness pass; it must still reject
+nan and +-inf for every domain kind.
 """
 
 import math
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from breglab import DomainError, DomainSpec
 from breglab.divergence import _clamped
@@ -67,6 +70,24 @@ def near(spec: DomainSpec):
 
 
 values = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=True, allow_infinity=True))
+
+
+class TestDomainMask:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        arr=hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, max_side=6), elements=values),
+        spec=st.sampled_from(SPECS),
+    )
+    def test_matches_explicit_finiteness_pass(self, arr, spec):
+        ref = np.isfinite(arr) & (arr > spec.lo) & (arr < spec.hi)
+        np.testing.assert_array_equal(spec.mask(arr), ref)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}({s.lo}, {s.hi})")
+    def test_special_values(self, spec):
+        arr = np.array(SPECIAL + near(spec))
+        np.testing.assert_array_equal(
+            spec.mask(arr), np.isfinite(arr) & (arr > spec.lo) & (arr < spec.hi)
+        )
 
 
 class TestDomainCheck:
