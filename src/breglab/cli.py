@@ -23,6 +23,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 
 from .errors import (
     BudgetError,
@@ -445,12 +446,27 @@ def _join_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+# numpy's floating-point warnings ("overflow encountered in multiply", ...)
+_FP_WARNING = r"(overflow|underflow|invalid value|divide by zero) encountered"
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
+    # A non-finite result ends in a NumericError, so numpy's warning about
+    # the same overflow only adds its source line to stderr.  The warnings
+    # filters are process-wide, so this also reaches the --workers pool
+    # threads, which do not inherit numpy's errstate.
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", _FP_WARNING, RuntimeWarning)
+        return _run(args)
+
+
+def _run(args) -> int:
+    """Resolve, run and report the parsed command; its exit code."""
     try:
         cfg = _resolve(args)
         reports, lines, code = _COMMANDS[args.command][0](cfg)

@@ -207,14 +207,8 @@ class BregmanInfo:
         return float(bregman_div(self.g, *_oriented(self.orientation, y, self.center)))
 
     def _excess(self, y: float) -> float:
-        """Summed divergence of the set to y (left: from y) minus v."""
-        if self.orientation == "right":
-            return self.k * self.bias(y)
-        # k D(y, c) is exact only if grad phi(c) equals the mean dual value;
-        # the residual term keeps it exact when the inverse gradient is not
-        # (the Newton fallback)
-        resid = float(self.g.gradient(self.center)) - self.mean
-        return self.k * (self.bias(y) + resid * (y - self.center))
+        """Summed divergence of the set to y (left: from y) minus v, by the compensation identity."""
+        return self.k * self.bias(y)
 
     def __add__(self, other: "BregmanInfo") -> "BregmanInfo":
         if other.k == 0:

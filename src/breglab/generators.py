@@ -5,8 +5,8 @@ domain.  Everything downstream (divergences, dual estimators, risk
 decompositions) needs four operations from it: the value phi(x), the
 gradient grad phi(x), the inverse gradient (grad phi)^{-1}(y), and the
 convex conjugate phi*(y).  Builtins register closed forms for all four;
-separable generators additionally support a safeguarded Newton fallback so
-the inverse and conjugate stay available when closed forms are disabled.
+separable generators keep the inverse and conjugate available when closed
+forms are disabled, by bisection over the float64 order (_newton_invert).
 
 Shape conventions: a generator of dimension d > 1 treats the last axis of an
 array as the coordinate axis.  A generator of dimension 1 is elementwise,
@@ -26,8 +26,6 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, NumericError, RangeError, UnsupportedError
 
-_NEWTON_TOL = 1e-12
-_NEWTON_MAX_ITER = 200
 _FLOAT64 = np.dtype(np.float64)
 
 
@@ -163,7 +161,6 @@ class _ScalarRule:
 
     value: object
     grad: object
-    grad2: object = None
     grad_inverse: object = None
     conjugate: object = None
 
@@ -291,70 +288,53 @@ class QuadraticGenerator(Generator):
         return _ensure_finite(out, "conjugate")
 
 
+def _key(x: np.ndarray) -> np.ndarray:
+    """int64 keys in the order of the float64 values x; -0.0 and +0.0 share the key 0."""
+    magnitude = np.abs(x).view(np.int64)
+    return np.where(x < 0.0, -magnitude, magnitude)
+
+
+def _unkey(k: np.ndarray) -> np.ndarray:
+    """The float64 values of the keys k, with +0.0 for the key 0."""
+    return np.copysign(np.abs(k).view(np.float64), k)
+
+
 def _newton_invert(rule: _ScalarRule, domain: DomainSpec, y: np.ndarray) -> np.ndarray:
-    """Solve grad(x) = y coordinatewise, safeguarded Newton inside a bracket.
+    """Solve grad(x) = y coordinatewise: the least float x in the domain with grad(x) >= y.
 
-    The scalar gradient is strictly increasing on the open interval
-    (domain.lo, domain.hi), so a sign-based bracket always exists.  Newton
-    steps use the registered second derivative when available and fall back
-    to bisection whenever a step would leave the bracket.
+    The scalar gradient is increasing on the open interval (domain.lo,
+    domain.hi), so grad(x) >= y is false below the root and true above it.
+    Bisection runs on the int64 keys of _key, which follow the order of the
+    float64 values, so each step halves the number of floats left between
+    the bracket ends.  After at most 64 steps the ends are adjacent floats:
+    there is no tolerance and no iteration cap.  A root beyond the last
+    float before a domain bound has no float to stop on and raises
+    NumericError.
+
+    The name and the (rule, domain, y) signature are kept because
+    bench/spans.py times this function by name and reads its rule and y.
     """
-    yf = np.ravel(np.asarray(y, dtype=float)).copy()
-    lo, hi = domain.lo, domain.hi
-    if math.isfinite(lo) and math.isfinite(hi):
-        x0 = 0.5 * (lo + hi)
-    elif math.isfinite(lo):
-        x0 = lo + 1.0
-    elif math.isfinite(hi):
-        x0 = hi - 1.0
-    else:
-        x0 = 0.0
-
-    a = np.full_like(yf, x0)
-    b = np.full_like(yf, x0)
-
-    step = 1.0
-    for _ in range(_NEWTON_MAX_ITER):
-        need = rule.grad(a) > yf
-        if not np.any(need):
-            break
-        a = np.where(need, (a + lo) / 2.0 if math.isfinite(lo) else a - step, a)
-        step *= 2.0
-    else:
-        raise NumericError("bracket expansion failed on the lower side")
-
-    step = 1.0
-    for _ in range(_NEWTON_MAX_ITER):
-        need = rule.grad(b) < yf
-        if not np.any(need):
-            break
-        b = np.where(need, (b + hi) / 2.0 if math.isfinite(hi) else b + step, b)
-        step *= 2.0
-    else:
-        raise NumericError("bracket expansion failed on the upper side")
-
-    x = 0.5 * (a + b)
-    tol = _NEWTON_TOL * (1.0 + np.abs(yf))
-    done = np.zeros(yf.shape, dtype=bool)
-    for _ in range(_NEWTON_MAX_ITER):
-        fx = rule.grad(x) - yf
-        done |= np.abs(fx) <= tol
-        done |= (b - a) <= 4.0 * np.finfo(float).eps * (1.0 + np.abs(x))
-        if np.all(done):
-            break
-        high = fx > 0
-        b = np.where(high & ~done, x, b)
-        a = np.where(~high & ~done, x, a)
-        if rule.grad2 is not None:
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                xn = x - fx / rule.grad2(x)
-            usable = np.isfinite(xn) & (xn > a) & (xn < b)
-        else:
-            usable = np.zeros(yf.shape, dtype=bool)
-        x = np.where(done, x, np.where(usable, xn, 0.5 * (a + b)))
-    else:
-        bad = int(np.count_nonzero(~done))
-        raise NumericError(f"gradient inversion failed to converge on {bad} coordinates")
+    yf = np.ravel(np.asarray(y, dtype=float))
+    k_lo, k_hi = _key(np.array([domain.lo, domain.hi])).tolist()
+    a = np.full(yf.shape, k_lo, dtype=np.int64)  # grad < y at a, or a is the lower bound
+    b = np.full(yf.shape, k_hi, dtype=np.int64)  # grad >= y at b, or b is the upper bound
+    with np.errstate(over="ignore", divide="ignore"):
+        while np.any(a + 1 < b):
+            # ceil((a + b) / 2) without overflow: strictly inside an open
+            # bracket, and b itself once a and b are adjacent, where grad >= y
+            # already holds, so a finished coordinate keeps its bracket
+            mid = (a >> 1) + (b >> 1) + ((a | b) & 1)
+            up = rule.grad(_unkey(mid)) >= yf
+            a = np.where(up, a, mid)
+            b = np.where(up, mid, b)
+        x = _unkey(b)
+        beyond = (b == k_hi) | ((a == k_lo) & (rule.grad(x) != yf))
+    if np.any(beyond):
+        i = int(np.flatnonzero(beyond)[0])
+        side = "above the largest" if b[i] == k_hi else "below the least"
+        raise NumericError(
+            f"the inverse gradient of {float(yf[i])} lies {side} float in {domain.describe()}"
+        )
     return x.reshape(np.shape(y))
 
 
@@ -362,7 +342,6 @@ def squared_euclidean(dim: int = 1) -> SeparableGenerator:
     rule = _ScalarRule(
         value=lambda s: 0.5 * s * s,
         grad=lambda s: s,
-        grad2=lambda s: np.ones_like(s),
         grad_inverse=lambda t: t,
         conjugate=lambda t: 0.5 * t * t,
     )
@@ -374,7 +353,6 @@ def negative_entropy(dim: int = 1) -> SeparableGenerator:
     rule = _ScalarRule(
         value=lambda s: s * np.log(s) - s,
         grad=np.log,
-        grad2=lambda s: 1.0 / s,
         grad_inverse=np.exp,
         conjugate=np.exp,
     )
@@ -388,7 +366,6 @@ def negative_log(dim: int = 1) -> SeparableGenerator:
     rule = _ScalarRule(
         value=lambda s: -np.log(s),
         grad=lambda s: -1.0 / s,
-        grad2=lambda s: 1.0 / (s * s),
         grad_inverse=lambda t: -1.0 / t,
         conjugate=lambda t: -1.0 - np.log(-t),
     )

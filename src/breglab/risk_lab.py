@@ -151,6 +151,8 @@ class Moments:
 
     Two sets merge exactly by the updates of Chan, Golub and LeVeque (1979)
     and Pebay (2008), so a chunked reduction keeps five numbers per chunk.
+    The merge runs on numpy scalars, so a sum that overflows becomes inf,
+    which _finalize refuses, and never raises OverflowError.
     M3 and M4 cost two more passes over the values and only the excess
     kurtosis reads them, so they are computed on request and are NaN
     otherwise; count, mean and M2 do not depend on them.
@@ -189,22 +191,22 @@ class Moments:
             return self
         if self.k == 0:
             return other
-        na, nb = float(self.k), float(other.k)
+        na, nb = np.float64(self.k), np.float64(other.k)
         nt = na + nb
-        d = other.mean - self.mean
-        m2 = self.m2 + other.m2 + d * d * na * nb / nt
-        m3 = (
-            self.m3 + other.m3 + d**3 * na * nb * (na - nb) / nt**2
-            + 3.0 * d * (na * other.m2 - nb * self.m2) / nt
-        )
-        m4 = (
-            self.m4 + other.m4 + d**4 * na * nb * (na * na - na * nb + nb * nb) / nt**3
-            + 6.0 * d * d * (na * na * other.m2 + nb * nb * self.m2) / nt**2
-            + 4.0 * d * (na * other.m3 - nb * self.m3) / nt
-        )
-        return Moments(
-            self.k + other.k, _merged_mean(self.k, self.mean, other.k, other.mean), m2, m3, m4
-        )
+        d = np.float64(other.mean - self.mean)
+        with np.errstate(over="ignore", invalid="ignore"):
+            m2 = self.m2 + other.m2 + d * d * na * nb / nt
+            m3 = (
+                self.m3 + other.m3 + d**3 * na * nb * (na - nb) / nt**2
+                + 3.0 * d * (na * other.m2 - nb * self.m2) / nt
+            )
+            m4 = (
+                self.m4 + other.m4 + d**4 * na * nb * (na * na - na * nb + nb * nb) / nt**3
+                + 6.0 * d * d * (na * na * other.m2 + nb * nb * self.m2) / nt**2
+                + 4.0 * d * (na * other.m3 - nb * self.m3) / nt
+            )
+        mean = _merged_mean(self.k, self.mean, other.k, other.mean)
+        return Moments(self.k + other.k, mean, float(m2), float(m3), float(m4))
 
     @property
     def se(self) -> float:
@@ -267,14 +269,22 @@ def _stream(model: Model, theta, n, estimators, replicates, seed, workers, reduc
     return pairwise_sum(map_chunks(chunk, replicates, workers))
 
 
-def _finalize(model: Model, theta: float, n: int, replicates: int, seed: int, kept: int) -> dict:
+def _finalize(model: Model, theta: float, n: int, replicates: int, seed: int, *stats) -> dict:
     """Fields every report shares: its run header and the drop accounting.
 
-    A report needs at least two replicates that survived its masks; it is
-    flagged invalid when more than 0.1 percent were dropped.
+    stats are the Moments whose means and standard errors the report
+    carries, each over the replicates that survived its masks.  A report
+    needs at least two of those; it is flagged invalid when more than 0.1
+    percent were dropped.  A mean or se that is not finite, because the
+    values overflow double precision, is a NumericError: it never gets a
+    verdict.
     """
+    kept = stats[0].k
     if kept < 2:
         raise NumericError("fewer than two replicates survived the domain and finiteness masks")
+    for m in stats:
+        if not (math.isfinite(m.mean) and math.isfinite(m.se)):
+            raise NumericError(f"mean {m.mean} or its standard error {m.se} is not finite")
     dropped = int(replicates) - kept
     return {
         "model_id": model.id,
@@ -324,7 +334,7 @@ def estimate_risk(
         return Moments.of(loss, higher=True), info
 
     losses, info = _stream(model, theta, n, [estimator], replicates, seed, workers, reduce)
-    common = _finalize(model, theta, n, replicates, seed, losses.k)
+    common = _finalize(model, theta, n, replicates, seed, losses)
     return RiskReport(
         **common,
         generator_id=g.id,
@@ -374,7 +384,7 @@ def _unbiasedness_checks(
             model, theta, n, estimators, replicates, derive_key(seed, i), workers, reduce
         )
         for (e, g), m in zip(checks, parts):
-            common = _finalize(model, theta, n, replicates, seed, m.k)
+            common = _finalize(model, theta, n, replicates, seed, m)
             target = theta if g is None else float(g.gradient(theta))
             z = _z_score(m.mean, target, m.se)
             reports.append(
@@ -465,7 +475,7 @@ def lehmann_grid_check(
         return [Moments.of(_loss(g, orientation, d, y)) for y in ys]
 
     parts = _stream(model, theta, n, [estimator], replicates, seed, workers, reduce)
-    common = _finalize(model, theta, n, replicates, seed, parts[0].k)
+    common = _finalize(model, theta, n, replicates, seed, *parts)
     means = [m.mean for m in parts]
     best = min(means)
     candidates = [i for i, m in enumerate(means) if m == best]
@@ -519,7 +529,7 @@ def compare_estimators(
         return Moments.of(l1), Moments.of(l2), Moments.of(l1 - l2)
 
     m1, m2, diff = _stream(model, theta, n, [e1, e2], replicates, seed, workers, reduce)
-    common = _finalize(model, theta, n, replicates, seed, diff.k)
+    common = _finalize(model, theta, n, replicates, seed, diff, m1, m2)
     return ComparisonReport(
         **common,
         generator_id=g.id,

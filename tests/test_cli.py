@@ -749,6 +749,46 @@ def test_numeric_failure_exit_1_with_nothing_on_stdout(capsys):
     assert err.startswith("numeric failure: fewer than two replicates survived")
 
 
+# Runs whose values overflow double precision: a chunk merge that overflows,
+# and an se that overflows in a single chunk, where z would read 0 and PASS
+OVERFLOWING_RUNS = {
+    "merge-sqeuclid": ["risk", "--model", "exp", "--gen", "sqeuclid", "--estimator", "classical",
+                       "--theta", "1e150", "--n", "5", "-M", "100000"],
+    "merge-negentropy-right": ["risk", "--model", "exp", "--gen", "negentropy",
+                               "--estimator", "classical", "--theta", "1e300", "--n", "5",
+                               "-M", "100000", "--orientation", "right"],
+    "type1-se": ["check", "--kind", "type1", "--model", "exp", "--gen", "neglog",
+                 "--estimator", "mean", "--theta", "1,1e-300", "--n", "5", "-M", "60000"],
+    "type1-merge": ["check", "--kind", "type1", "--model", "exp", "--gen", "neglog",
+                    "--estimator", "mean", "--theta", "1,1e-300", "--n", "5", "-M", "100000"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING_RUNS))
+def test_overflowing_statistics_are_a_numeric_failure(capsys, name):
+    code, out, err = run(capsys, *OVERFLOWING_RUNS[name])
+    assert code == 1 and out == ""
+    assert err.startswith("numeric failure: mean ") and "is not finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["divergence", "--gen", "sqeuclid", "--x", "1", "--y", "-1e200"],
+    # three chunks on two pool threads, each overflowing phi of its estimates
+    ["risk", "--model", "exp", "--gen", "sqeuclid", "--estimator", "classical",
+     "--theta", "1e200", "--n", "5", "-M", "140000", "--workers", "2"],
+], ids=["divergence", "risk-workers-2"])
+def test_numeric_failure_stderr_is_the_one_message(argv):
+    # numpy's overflow warnings, and the source lines they quote, stay off stderr
+    src = os.path.dirname(os.path.dirname(os.path.abspath(breglab.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "breglab.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "numeric failure: value is not finite (overflow or invalid operand)\n"
+
+
 # Usage errors, each with the text its message must contain.  Files named in
 # an argument are written into the working directory first.
 USAGE_ERRORS = {

@@ -1,5 +1,8 @@
 """Generator contracts: domains, closed forms, duality, numeric inversion."""
 
+import math
+
+import mpmath
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -212,6 +215,69 @@ class TestNumericInversion:
     def test_mahalanobis_has_no_numeric_path(self):
         with pytest.raises(UnsupportedError):
             mahalanobis(A2).without_closed_forms()
+
+
+# (factory, 50-digit reference inverse, condition number of the inverse at y)
+# per generator with a numeric inverse.  The condition number
+# |y / (x phi''(x))| is 1 for sqeuclid and neglog and |y| = |log x| for
+# negentropy.
+BISECTED = {
+    "sqeuclid": (squared_euclidean, mpmath.mpf, lambda y: 1.0),
+    "negentropy": (negative_entropy, mpmath.exp, abs),
+    "neglog": (negative_log, lambda y: -1 / mpmath.mpf(y), lambda y: 1.0),
+}
+# |x| from 1e-300 to 1e300: hypothesis's own float choices, and magnitudes
+# spread evenly over the decades
+MAGNITUDES = st.one_of(
+    st.floats(1e-300, 1e300), st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+)
+
+
+def dual_point(name, magnitude, negative):
+    """grad phi(x) for |x| = magnitude, with x negative only where the domain allows it."""
+    x = -magnitude if negative and name == "sqeuclid" else magnitude
+    return float(BISECTED[name][0](1).gradient(x))
+
+
+class TestBisectionInverse:
+    """The numeric inverse: the least float whose gradient reaches y, over the whole float range."""
+
+    @given(name=st.sampled_from(sorted(BISECTED)), magnitude=MAGNITUDES, negative=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_result_is_the_least_float_reaching_y(self, name, magnitude, negative):
+        y = dual_point(name, magnitude, negative)
+        g = BISECTED[name][0](1).without_closed_forms()
+        x = float(g.invert_gradient(y))
+        assert float(g.gradient(np.nextafter(x, -np.inf))) < y <= float(g.gradient(x))
+
+    @given(name=st.sampled_from(sorted(BISECTED)), magnitude=MAGNITUDES, negative=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_relative_error_within_the_conditioning(self, name, magnitude, negative):
+        # Bisection stops within an ulp of x of where the computed gradient
+        # crosses y, and a gradient off by an ulp of y moves that crossing by
+        # kappa eps relatively; 2 eps (1 + kappa) covers both with room for a
+        # libm log that is not correctly rounded.  No absolute floor.
+        factory, reference, kappa = BISECTED[name]
+        y = dual_point(name, magnitude, negative)
+        x = float(factory(1).without_closed_forms().invert_gradient(y))
+        with mpmath.workdps(50):
+            want = reference(y)
+            rel = float(abs((mpmath.mpf(x) - want) / want))
+        assert rel <= 2.0 * EPS * (1.0 + kappa(y)), (y, x, rel)
+
+    @pytest.mark.parametrize(
+        "name, y", [("negentropy", 710.0), ("negentropy", -800.0), ("neglog", -1e-320)]
+    )
+    def test_root_beyond_the_float_range_raises(self, name, y):
+        g = BISECTED[name][0](1).without_closed_forms()
+        with pytest.raises(NumericError, match="float in open interval"):
+            g.invert_gradient(y)
+
+    def test_sqeuclid_inverse_of_zero_is_positive_zero(self):
+        closed = squared_euclidean(1)
+        x = float(closed.without_closed_forms().invert_gradient(0.0))
+        want = float(closed.invert_gradient(0.0))
+        assert (x, math.copysign(1.0, x)) == (want, math.copysign(1.0, want)) == (0.0, 1.0)
 
 
 class TestMatrixValidation:

@@ -1,9 +1,10 @@
-"""The known numeric defects of ROADMAP item 1, each stated as the behaviour it should have.
+"""The numeric defects of ROADMAP item 1, each stated as the behaviour it should have.
 
-Every test here fails today and is marked as a strict xfail, with
-raises=NumericError where the defect is a refusal.  A strict xfail that
-starts to pass fails the suite, so the change that fixes a defect must also
-remove its mark.
+The two bregman_div tests fail today (item 1(a)) and are marked as strict
+xfails, with raises=NumericError where the defect is a refusal.  A strict
+xfail that starts to pass fails the suite, so the change that fixes a defect
+must also remove its mark.  The numeric inverse gradient tests (item 1(b))
+pass, and stay as regression tests.
 """
 
 import math
@@ -44,29 +45,25 @@ def test_negentropy_accepts_nearly_equal_pairs_over_lognormal_scales():
     assert np.all(np.isfinite(d)) and np.all(d >= 0.0)
 
 
-@pytest.mark.xfail(strict=True, reason=DEFECT)
 def test_negentropy_newton_inverse_is_relatively_exact_near_zero():
-    # returns 4.44e-16 without raising: the stopping rule is absolute near x = 0
+    # an absolute stopping rule stops far from a root this close to x = 0
     g = negative_entropy(1).without_closed_forms()
     assert_relatively_exact(g.invert_gradient(-100.0), math.exp(-100.0))
 
 
-@pytest.mark.xfail(strict=True, raises=NumericError, reason=DEFECT)
 @pytest.mark.parametrize("y", [-200.0, -700.0, 700.0])
 def test_negentropy_newton_inverse_reaches_the_float_range(y):
-    # today the additive bracket expansion gives up
+    # roots this far out need a bracket that reaches the whole float range
     g = negative_entropy(1).without_closed_forms()
     assert_relatively_exact(g.invert_gradient(y), math.exp(y))
 
 
-@pytest.mark.xfail(strict=True, reason=DEFECT)
 def test_neglog_newton_inverse_is_relatively_exact_near_zero_gradient():
-    # returns 99 999 998.12 without raising: the stopping rule is absolute near y = 0
+    # an absolute stopping rule stops far from a root where y is this close to 0
     g = negative_log(1).without_closed_forms()
     assert_relatively_exact(g.invert_gradient(-1e-8), 1e8)
 
 
-@pytest.mark.xfail(strict=True, raises=NumericError, reason=DEFECT)
 @pytest.mark.parametrize("y", [-1e-300, -1e300])
 def test_neglog_newton_inverse_reaches_the_float_range(y):
     g = negative_log(1).without_closed_forms()

@@ -2,7 +2,9 @@
 
 Each line runs breglab.cli.main in process, once with --format json and once
 with --format csv, from inside a fresh directory with --out out, so the
-echoed config line does not depend on where the test runs.  The exit code,
+echoed config line does not depend on where the test runs.  Most lines are
+one chunk (M <= 20 000); the three "4-chunks" lines run M = 200 000, so
+their reports also pin the chunk merges.  The exit code,
 the sha256 of the --out file and the sha256 of stdout must match the values
 recorded here.  A refactor that is meant to leave every output unchanged
 keeps this file as it is; a change that moves an output on purpose records
@@ -52,6 +54,20 @@ LINES = {
         "--estimator", "first-k:1", "--theta", "0.7,1.3",
     ],
     "reproduce-exp": ["reproduce", "--example", "exp", "-M", "20000", "--seed", "9"],
+    # four chunks each: the left center and the Bregman information pass
+    # through the chunk merge, BregmanInfo.__add__
+    "risk-neglog-4-chunks": [
+        "risk", "--model", "exp", "--gen", "neglog", "--estimator", "classical",
+        "--theta", "2", "--n", "5", "-M", "200000", "--seed", "10",
+    ],
+    "risk-negentropy-4-chunks": [
+        "risk", "--model", "lognormal", "--gen", "negentropy", "--estimator", "mean",
+        "--theta", "1.5", "--n", "4", "-M", "200000", "--seed", "11",
+    ],
+    "risk-sqeuclid-4-chunks": [
+        "risk", "--model", "normal:2", "--gen", "sqeuclid", "--estimator", "first-k:2",
+        "--theta", "-0.5", "--n", "5", "-M", "200000", "--seed", "12", "--workers", "2",
+    ],
 }
 
 # (exit code, sha256 of the --out file, sha256 of stdout) per (line, format)
@@ -165,6 +181,36 @@ GOLDEN = {
         0,
         "a7f51073d9b156f0e9fa15eb7ae91f06f78a1907905244c80aa09fa1d60f63cf",
         "226e03916c723527f8f0bb973ac2ccc661c8fe5389b8b8bfd69c4a9696306249",
+    ),
+    ("risk-neglog-4-chunks", "json"): (
+        0,
+        "94916bd5d456aa659683d6012c10cfa2bd0c5ad839186c8a05d5454f53534299",
+        "931f5d17a48fbb5a178e6a1db8cf5eb4f609a4ec9e26d007925d2149e9450160",
+    ),
+    ("risk-neglog-4-chunks", "csv"): (
+        0,
+        "8f421051e08063eb2a8cdc8fedc8486b7c8d9509ffb4fda422bd6271f1b8bc88",
+        "f876631531550fd7f8904902e3046342a81fa33152dfab9c179235d0d00e518e",
+    ),
+    ("risk-negentropy-4-chunks", "json"): (
+        0,
+        "a33bb87d03d01d74ebddc493c58b93f87d8fa55b88c4063edc685a6190c6e761",
+        "542d2acba0782463371ea1174f23cfec77bfa067ceaef345ab32408185466d3e",
+    ),
+    ("risk-negentropy-4-chunks", "csv"): (
+        0,
+        "04d80d50c8f0f6070106f9a830241acc77b1a19963461352ee8155252609c22c",
+        "6c6ae3c70dcd2e5a583761cbede361c36357dcc60d25b96e4cd76a6b5f56930b",
+    ),
+    ("risk-sqeuclid-4-chunks", "json"): (
+        0,
+        "7e0747a434e8516ec0731ad4c8180311b11d434dcbf8fd341213b221ecefa292",
+        "7728f32e2dd59dc1ba4901959fb6015fe7f67c553d45b191d2bcf500d41848cc",
+    ),
+    ("risk-sqeuclid-4-chunks", "csv"): (
+        0,
+        "0a2a0d69c2190e49f855f53778667a45ff08aaba777df0b6a603017ee68010b4",
+        "ec0185bb04a0a84e8b0e801ff8499d5d8883ad6c220ad126b24dbb1499835693",
     ),
 }
 
