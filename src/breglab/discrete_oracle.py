@@ -4,28 +4,30 @@ Expectations here are exact sums over the enumerated outcome space, so they
 act as an oracle for the Monte Carlo lab: decomposition identities must close
 to 1e-12 and symmetrization must never increase risk.  The outcome space is
 enumerated in lexicographic support order, first coordinate slowest, once for
-a few recent (support, n).  exact_expectation sums one block per leading
-coordinate and combines blocks with the fixed-shape pairwise tree.
+a few recent (support, n), shared read-only.  exact_expectation sums one
+block per leading coordinate and combines blocks with the fixed-shape
+pairwise tree.
 
 The checks sum over laws instead of outcomes.  An estimate takes few distinct
-values ("atoms") over the m^n outcomes, so each check pushes the outcome
-weights forward onto them: the atoms are kept in ascending order with their
-outcome indices ordered by (value, outcome index) and segment starts, and at
-each theta an atom's probability is the pairwise sum np.add.reduceat of its
-segment of gathered weights.  phi, grad phi and every divergence are then
-evaluated once per atom, and an expectation is np.sum(p * f(atoms)).  The
-domain of the estimate is still checked on the full outcome array, so error
-messages name outcome indices.
+values ("atoms") over the m^n outcomes, and _law pushes the outcomes onto
+them with one stable argsort, by (value, outcome index).  At each theta an
+atom's probability is the pairwise sum np.add.reduceat of its segment of
+gathered weights; phi, grad phi and every divergence are evaluated once per
+atom, and an expectation is np.sum(p * f(atoms)).  The decomposition checks
+split through divergence._split, as decompose_left/right do.  The domain of
+the estimate is still checked on the full outcome array, so error messages
+name outcome indices.
 
-Checks on one model share their sorting and weighing.  Every check still
-runs e.fn and its own domain check, but the model keeps a copy of the
-estimates of its last check and their law: estimates byte-identical to
-those reuse that law, so the Rao-Blackwell check, the decompositions at
-each theta and exact_rao_blackwell sort one estimator's values once between
-them.  A law keeps its atom probabilities per theta, and the Rao-Blackwell
-check weighs the outcomes once per theta for both of its laws.
-outcome_values is shared, read-only, by every model with the same
-(support, n).
+Three kinds of reuse stay because the 54-case benchmark battery is slower
+without each (2-core VM, medians of 15 runs in each of 5 processes, 0.25 s
+with all of them):
+- a model keeps the estimates of its last check and their law, so the
+  Rao-Blackwell check, the decompositions at each theta and
+  exact_rao_blackwell sort one estimator's values once (0.35 s without);
+- a law keeps its atom probabilities per theta (0.28 s without), and the
+  Rao-Blackwell check weighs the outcomes once per theta for both its laws;
+- the Rao-Blackwell law is built from its class labels by _law_of_labels
+  (0.34 s sorting its values with _law instead).
 
 Conditioning is one step, _condition: given a partition of the outcomes into
 equally likely cells, average the dual image grad phi(e) over each cell and
@@ -36,15 +38,12 @@ The exact Rao-Blackwell step conditions on the multiset of observations (the
 order statistic, sufficient under i.i.d. sampling).  Every ordering of a
 multiset is equally likely, so averaging the dual image over all n!
 permutations of an outcome equals averaging it over the outcome's multiset
-class; the oracle groups outcomes by class instead of permuting them, at
-O(m^n * n) cost with no limit on n beyond the m^n outcome budget.  Classes
-are numbered in lexicographic order of their sorted support indices and
-labelled without sorting any outcome row: a transition table maps (class of
-a length-k prefix, next symbol) to the class of the length-(k+1) prefix, and
-gathering it k = 1..n times labels the outcomes in enumeration order.  The
-labels and class sizes depend on (m, n) only and are cached read-only for a
-few recent (m, n).  The Rao-Blackwell values' risk is summed over their own
-law.
+class, at O(m^n * n) cost with no limit on n beyond the m^n outcome budget.
+Classes are numbered in lexicographic order of their sorted support indices
+and labelled without sorting any outcome row: a transition table maps (class
+of a length-k prefix, next symbol) to the class of the length-(k+1) prefix,
+and gathering it k = 1..n times labels the outcomes in enumeration order.
+The labels and class sizes are cached read-only for a few recent (m, n).
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .divergence import BregmanInfo, _loss, _Points
+from .divergence import _loss, _Points, _split
 from .divergence import bregman_div  # noqa: F401  uncalled; bench/spans.py wraps this name
 from .errors import BudgetError, ConfigError, DomainError
 from .estimators import Estimator, rao_blackwell_estimator, resolve_estimator
@@ -208,7 +207,7 @@ class _Law:
     atoms ascend; order lists the outcome indices by (value, outcome index),
     as a stable argsort of the array does, and starts marks where each atom's
     run of outcomes begins in order.  by_theta keeps the atom probabilities
-    already computed at each theta.
+    already computed at each theta, so checks on one model weigh once per theta.
     """
 
     atoms: np.ndarray
@@ -245,25 +244,13 @@ class _Law:
 def _law(values: np.ndarray) -> _Law:
     """Push the outcomes forward onto the distinct values of a 1-D per-outcome array.
 
-    Both ways give the same law.  Values in long ascending runs, such as an
-    estimate of the leading coordinates, merge-sort fastest with a stable
-    argsort.  Others, such as a mean of all n coordinates, group faster with
-    numpy's default sort, after which _law_of_labels puts each group into
-    outcome order.
+    One stable argsort orders the outcomes by (value, outcome index); a tie
+    of -0.0 and 0.0 keeps the sign of its first outcome.
     """
-    if np.count_nonzero(values[1:] < values[:-1]) * 64 < len(values):
-        order = np.argsort(values, kind="stable")
-        ranked = values[order]
-        starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
-        return _Law(ranked[starts], order, starts)
-    order = np.argsort(values)
+    order = np.argsort(values, kind="stable")
     ranked = values[order]
-    new = np.concatenate(([True], ranked[1:] != ranked[:-1]))
-    labels = np.empty(len(values), dtype=np.intp)
-    labels[order] = np.cumsum(new) - 1
-    law = _law_of_labels(ranked[new], labels)
-    # a tie of -0.0 and 0.0 keeps the sign of its first outcome, as above
-    return _Law(values[law.order[law.starts]], law.order, law.starts)
+    starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+    return _Law(ranked[starts], order, starts)
 
 
 def _law_of_labels(atoms: np.ndarray, labels: np.ndarray) -> _Law:
@@ -271,7 +258,7 @@ def _law_of_labels(atoms: np.ndarray, labels: np.ndarray) -> _Law:
 
     Ordering by label is ordering by value, so a stable sort of the labels
     gives the same grouping; in an unsigned dtype of at most 16 bits numpy
-    radix-sorts them.
+    radix-sorts them, faster than _law sorts the values.
     """
     narrow = labels.astype(np.min_scalar_type(len(atoms) - 1), copy=False)
     sizes = np.bincount(narrow, minlength=len(atoms))
@@ -315,7 +302,8 @@ def _estimate_law(dm: DiscreteModel, g: Generator, e: Estimator, label: str):
     read-only copy of the values of its last call, and their law; values
     byte-identical to those (compared as int64, so -0.0 and 0.0 or two NaN
     payloads never match) reuse that law, and its atom probabilities,
-    instead of sorting again.  The kept copy is what is returned, so an
+    instead of sorting again, which saves the battery about a third of its
+    time.  The kept copy is what is returned, so an
     estimator that later overwrites its own output cannot change it.
     """
     require_dimension(g, 1)
@@ -505,8 +493,8 @@ def verify_decompositions_grid(
     e.fn runs once per call and its estimates' domain is checked once on the
     full outcome array.  Every expectation is a sum over the law of the
     estimates, so phi and grad phi are evaluated once per distinct estimate.
-    Each orientation's center and variance are BregmanInfo.of the atoms under
-    their probabilities.  Each check equals verify_decompositions at its theta.
+    Each orientation is divergence._split of the atoms under their
+    probabilities.  Each check equals verify_decompositions at its theta.
     """
     grid = _grid(theta_grid)
     law = _estimate_law(dm, g, e, "estimate")[1]
@@ -517,10 +505,9 @@ def verify_decompositions_grid(
         t = _Points(g, theta)
         parts = []  # risk, bias, variance, center and residual, left then right
         for side in ("left", "right"):
-            info = BregmanInfo.of(g, side, est, p)
-            risk = _mean(p, _loss(g, side, est, t))
-            bias = info.bias(theta)
-            parts += [risk, bias, info.v, info.center, abs(risk - bias - info.v)]
+            r = _split(g, side, est, p, t)
+            parts += [r.total, r.bias_term, r.variance_term, r.center,
+                      abs(r.total - r.bias_term - r.variance_term)]
         passed = bool(max(parts[4::5]) <= RESIDUAL_TOL)
         checks.append(DecompositionCheck(g.id, e.id, dm.support, dm.n, theta, *parts, passed))
     return checks

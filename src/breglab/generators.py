@@ -33,8 +33,9 @@ def _float_scalar(x):
     """x as a Python float if it is a float64 scalar or 0-d float64 array, else None.
 
     DomainSpec.check, _ensure_finite and divergence._clamped pass a valid
-    scalar with plain float comparisons.  Anything else, and every scalar
-    that fails, takes their numpy path, so what they raise is unchanged.
+    scalar with plain float comparisons, which keeps the oracle's per-theta
+    scalar work cheap.  Anything else, and every scalar that fails, takes
+    their numpy path, so what they raise is unchanged.
     """
     t = type(x)
     if t is float or t is np.float64 or (t is np.ndarray and x.ndim == 0 and x.dtype is _FLOAT64):

@@ -320,7 +320,8 @@ def estimate_risk(
     the mean dual estimate.  Right orientation: loss D(delta, theta), center
     is the plain mean estimate.  Replicates whose estimate leaves the
     generator's domain are dropped and counted; the report is flagged invalid
-    when more than 0.1 percent drop.
+    when more than 0.1 percent drop.  A loss kurtosis that is not finite is a
+    NumericError, as _finalize makes a non-finite mean or se.
     """
     theta = _check_setup(model, theta, n, [estimator], g, replicates, orientation)
 
@@ -335,6 +336,9 @@ def estimate_risk(
 
     losses, info = _stream(model, theta, n, [estimator], replicates, seed, workers, reduce)
     common = _finalize(model, theta, n, replicates, seed, losses)
+    kurtosis = losses.excess_kurtosis
+    if not math.isfinite(kurtosis):
+        raise NumericError(f"loss excess kurtosis {kurtosis} is not finite")
     return RiskReport(
         **common,
         generator_id=g.id,
@@ -345,7 +349,7 @@ def estimate_risk(
         variance_term=info.v / info.k,
         center=info.center,
         se_risk=losses.se,
-        loss_excess_kurtosis=losses.excess_kurtosis,
+        loss_excess_kurtosis=kurtosis,
     )
 
 

@@ -771,6 +771,17 @@ def test_overflowing_statistics_are_a_numeric_failure(capsys, name):
     assert err.startswith("numeric failure: mean ") and "is not finite" in err
 
 
+def test_overflowing_kurtosis_is_a_numeric_failure(capsys, tmp_path):
+    # losses near 1e99 keep a finite mean and se, but their fourth powers overflow
+    out_file = tmp_path / "k.json"
+    code, out, err = run(
+        capsys, "risk", "--model", "normal:1e100", "--gen", "sqeuclid", "--estimator", "mean",
+        "--theta", "0", "--n", "5", "-M", "1000", "--out", str(out_file),
+    )
+    assert code == 1 and out == "" and not out_file.exists()
+    assert err.startswith("numeric failure: ") and "kurtosis" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["divergence", "--gen", "sqeuclid", "--x", "1", "--y", "-1e200"],
     # three chunks on two pool threads, each overflowing phi of its estimates
