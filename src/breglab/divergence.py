@@ -103,8 +103,8 @@ def _weighted_points(g: Generator, points, weights):
         if pts.ndim != 1 or pts.shape[0] < 1:
             raise ConfigError("points must be a non-empty 1-d array for a scalar generator")
     else:
-        if pts.ndim != 2 or pts.shape[1] != g.dimension:
-            raise ConfigError(f"points must have shape (m, {g.dimension})")
+        if pts.ndim != 2 or pts.shape[1] != g.dimension or pts.shape[0] < 1:
+            raise ConfigError(f"points must have shape (m, {g.dimension}) with m >= 1")
     m = pts.shape[0]
     if weights is None:
         return _Points(g, pts), np.full(m, 1.0 / m)
@@ -117,6 +117,17 @@ def _weighted_points(g: Generator, points, weights):
     if off > WEIGHT_SUM_TOL:
         raise ConfigError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, off by {off}")
     return _Points(g, pts), w
+
+
+def _parameter(g: Generator, x) -> "_Points":
+    """x as one point of g, a scalar for a scalar generator and shape (d,) otherwise."""
+    xa = np.asarray(x, dtype=float)
+    shape = () if g.dimension == 1 else (g.dimension,)
+    if xa.shape != shape:
+        raise ConfigError(
+            f"the parameter must have shape {shape} for generator '{g.id}', got {xa.shape}"
+        )
+    return _Points(g, xa)
 
 
 def _oriented(orientation: str, y, est):
@@ -257,10 +268,10 @@ def decompose_left(g: Generator, x, points, weights=None) -> DecompositionReport
     satisfy total = bias + variance up to floating point.
     """
     est, w = _weighted_points(g, points, weights)
-    return _split(g, "left", est, w, _Points(g, np.asarray(x, dtype=float)))
+    return _split(g, "left", est, w, _parameter(g, x))
 
 
 def decompose_right(g: Generator, y, points, weights=None) -> DecompositionReport:
     """Split sum_i w_i D(x_i, y) at the ordinary weighted mean."""
     est, w = _weighted_points(g, points, weights)
-    return _split(g, "right", est, w, _Points(g, np.asarray(y, dtype=float)))
+    return _split(g, "right", est, w, _parameter(g, y))

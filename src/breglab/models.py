@@ -4,13 +4,15 @@ All builtins are scalar i.i.d. families.  Draws are bit-reproducible: chunk c
 of a batch uses the Philox stream keyed by derive_key(seed, c), uniforms are
 shifted into the open interval (0, 1), and each family applies its inverse
 CDF (exponential) or the ndtri Gaussian transform (normal, lognormal).  The
-chunk grid is fixed, so batches are identical for any worker count;
-``Model.draw_chunk`` is the one place a chunk's stream is keyed, shared by
-whole-batch draws and the risk lab's chunk-by-chunk kernel.  A chunk is
-drawn into a caller's buffer when one is given: the uniforms fill it and
-each family's transform runs in place on them, so a chunk allocates no
-array.  ``Model.draw`` passes the rows of its result; the risk lab passes
-one buffer per worker thread.
+chunk grid is fixed, so batches are identical for any worker count.
+``Model.draw_blocks`` is the one place a chunk's stream is keyed.  It draws
+the chunk into consecutive row blocks of a caller's buffer: the uniforms of
+a block fill it and each family's transform runs in place on them before
+the next block is drawn.  Philox is counter-based, so the rows are the same
+for any block size, and a chunk allocates no array.  ``Model.draw_chunk`` is
+that iterator with one block, and ``Model.draw`` fills the rows of its
+result from it; the risk lab draws block by block into one buffer per
+worker thread and estimates each block while it is in cache.
 
 scipy is imported only where it is used: the normal and lognormal transforms
 import ``scipy.special.ndtri`` on each call, so the first Gaussian draw of a
@@ -70,20 +72,48 @@ class Model:
         self.param_space.check(np.asarray(theta), "theta")
         return theta
 
+    def draw_blocks(
+        self, theta: float, n: int, seed: int, c: int, out: np.ndarray, block_rows: int
+    ):
+        """Draw chunk c into out block by block: yields (start, stop, out[start:stop]).
+
+        The Philox stream keyed by derive_key(seed, c) fills consecutive row
+        blocks of out (C-contiguous float64, shape (rows, n)), each block's
+        uniforms transformed in place before the next block is drawn.  A
+        counter-based stream continues where the last block stopped, so the
+        rows equal one draw of the whole chunk for any block size.  A block
+        has block_rows rows, and the last one up to block_rows + 1: a one-row
+        block is never cut from a longer chunk.
+        """
+        rng = philox(derive_key(int(seed), c))
+        rows = out.shape[0]
+        start = 0
+        while start < rows:
+            stop = start + block_rows
+            if stop >= rows - 1:
+                stop = rows
+            u = open_uniforms(rng, (stop - start, n), out=out[start:stop])
+            x = self._transform(u, theta)
+            if x is not u:
+                # a transform that returns a new array instead of working in place
+                u[...] = x
+            yield start, stop, u
+            start = stop
+
     def draw_chunk(
         self, theta: float, n: int, seed: int, c: int, rows: int, out: np.ndarray | None = None
     ) -> np.ndarray:
         """(rows, n) observations of chunk c: the Philox stream keyed by derive_key(seed, c).
 
         With out (C-contiguous float64, shape (rows, n)) the observations are
-        written into it and out is returned.
+        written into it and out is returned.  The chunk is drawn as one block.
         """
-        rng = philox(derive_key(int(seed), c))
-        x = self._transform(open_uniforms(rng, (rows, n), out=out), theta)
-        if out is None or x is out:
-            return x
-        # a transform that returns a new array instead of working in place
-        out[...] = x
+        if out is None:
+            out = np.empty((rows, n))
+        elif out.shape != (rows, n):
+            raise ValueError(f"out has shape {out.shape}, expected {(rows, n)}")
+        for _ in self.draw_blocks(theta, n, seed, c, out, rows):
+            pass
         return out
 
     def draw(self, theta, n: int, replicates: int, seed: int, workers: int = 1) -> np.ndarray:

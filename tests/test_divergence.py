@@ -214,6 +214,33 @@ class TestDecompositions:
         with pytest.raises(ConfigError):
             bregman_mean(squared_euclidean(1), np.ones((3, 1)))
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_empty_points_rejected(self, d):
+        g = squared_euclidean(d)
+        x = 0.0 if d == 1 else np.zeros(d)
+        pts = np.empty(0) if d == 1 else np.empty((0, d))
+        for call in (
+            lambda: bregman_mean(g, pts),
+            lambda: decompose_left(g, x, pts),
+            lambda: decompose_right(g, x, pts),
+        ):
+            with pytest.raises(ConfigError, match="points must"):
+                call()
+
+    @pytest.mark.parametrize(
+        "d, x, m",
+        [
+            (1, [1.0, 1.0], 2), (1, [1.0, 1.0], 3), (1, [1.0], 2),
+            (2, 1.0, 3), (2, [1.0, 2.0, 3.0], 3), (2, [[1.0, 2.0]], 2),
+        ],
+    )
+    def test_parameter_shape_must_fit_the_generator(self, d, x, m):
+        g = squared_euclidean(d)
+        pts = np.arange(1.0, m + 1.0) if d == 1 else np.ones((m, d))
+        for fn in (decompose_left, decompose_right):
+            with pytest.raises(ConfigError, match=r"parameter must have shape"):
+                fn(g, x, pts)
+
 
 class TestBregmanInfo:
     """The one bias/variance split, plainly averaged or under a probability vector."""

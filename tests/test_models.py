@@ -140,6 +140,30 @@ class TestInPlaceDraws:
         ExponentialModel().draw(1.0, 2, self.ROWS, seed=1)
         assert calls == [True, True]
 
+    # chunk rows -> block edges for 16-row blocks: a block that would leave a
+    # one-row tail takes that row, so no one-row block is cut from a longer chunk
+    BLOCK_EDGES = {
+        1: (0, 1), 2: (0, 2), 15: (0, 15), 16: (0, 16), 17: (0, 17), 18: (0, 16, 18),
+        33: (0, 16, 33), 34: (0, 16, 32, 34), 64: (0, 16, 32, 48, 64),
+    }
+
+    @pytest.mark.parametrize("rows", sorted(BLOCK_EDGES))
+    @pytest.mark.parametrize(
+        "model", [*MODELS, CopyingExponential()], ids=lambda m: type(m).__name__
+    )
+    def test_blocks_fill_the_chunk(self, model, rows):
+        theta, n, seed, c = 1.5, 3, 4, 2
+        whole = model.draw_chunk(theta, n, seed, c, rows)
+        out = np.empty((rows, n))
+        edges = []
+        for lo, hi, x in model.draw_blocks(theta, n, seed, c, out, 16):
+            assert x.shape == (hi - lo, n) and np.shares_memory(x, out[lo:hi])
+            # the block is transformed before the next one is drawn
+            assert x.tobytes() == whole[lo:hi].tobytes()
+            edges.append(lo)
+        assert (*edges, rows) == self.BLOCK_EDGES[rows]
+        assert out.tobytes() == whole.tobytes()
+
     def test_transform_returning_new_array(self):
         theta, n, seed = 1.5, 4, 12
         base = ExponentialModel().draw(theta, n, self.ROWS, seed)

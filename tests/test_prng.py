@@ -87,6 +87,19 @@ class TestOpenUniforms:
         with pytest.raises(ValueError):
             open_uniforms(philox(derive_key(3)), (8, 3), out=out)
 
+    @pytest.mark.parametrize("cuts", [(), (1,), (5, 6), (3, 10, 11, 40), (49,)])
+    def test_consecutive_row_slices_equal_one_call(self, cuts):
+        # a chunk may be drawn in row blocks: the stream continues where the
+        # last block stopped, so the blocks hold the one call's values bitwise
+        rows, n = 50, 5
+        whole = open_uniforms(philox(derive_key(8, 2)), (rows, n))
+        out = np.empty((rows, n))
+        rng = philox(derive_key(8, 2))
+        edges = (0, *cuts, rows)
+        for start, stop in zip(edges, edges[1:]):
+            open_uniforms(rng, (stop - start, n), out=out[start:stop])
+        assert out.tobytes() == whole.tobytes()
+
 
 class TestPairwiseSum:
     def test_matches_plain_sum(self):

@@ -1,6 +1,7 @@
 """Monte Carlo risk lab: reports, verdicts, pairing, and drop accounting."""
 
 import dataclasses
+import re
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -38,6 +39,7 @@ from breglab import (
 )
 from breglab.prng import derive_key, pairwise_sum
 from breglab.generators import SeparableGenerator
+from breglab import risk_lab
 from breglab.divergence import _Points
 from breglab.risk_lab import BregmanInfo, Moments, _stream
 
@@ -686,3 +688,101 @@ def test_risk_peak_memory_not_above_parent(orientation):
     finally:
         tracemalloc.stop()
     assert peak <= PARENT_RISK_PEAK
+
+
+def _all_reports(e1, e2, n, rows, workers, seed=17):
+    run = (rows, seed, workers)
+    return [
+        dataclasses.asdict(r)
+        for r in (
+            estimate_risk(EXP, 2.0, n, e1, NEGLOG, "left", *run),
+            estimate_risk(EXP, 2.0, n, e1, NEGLOG, "right", *run),
+            *check_type1_unbiased(EXP, [1.0, 2.0], e1, NEGLOG, n, *run),
+            *check_type2_unbiased(EXP, [2.0], e1, n, *run),
+            lehmann_grid_check(EXP, 2.0, (1.5, 2.0, 2.5), e1, NEGLOG, "left", n, *run),
+            compare_estimators(EXP, 2.0, n, (e1, e2), NEGLOG, "right", *run),
+        )
+    ]
+
+
+class TestBlockBoundaries:
+    """A chunk estimated block by block reports exactly what one block per chunk does."""
+
+    N = 5
+    E1, E2 = build_type1_umvue(EXP, NEGLOG), EXP.classical_umvue
+
+    def whole_chunks(self, monkeypatch, rows, workers):
+        with monkeypatch.context() as m:
+            m.setattr(risk_lab, "BLOCK_VALUES", 8 * CHUNK_ROWS * self.N)
+            assert risk_lab._block_rows(self.N) >= CHUNK_ROWS
+            return _all_reports(self.E1, self.E2, self.N, rows, workers)
+
+    def test_block_rows(self):
+        assert risk_lab._block_rows(5) == 16384
+        assert risk_lab._block_rows(10) == 8192
+        assert risk_lab._block_rows(1) == 131072
+        assert risk_lab._block_rows(10**6) == 8
+
+    # last chunk's rows on and around a 16 384-row block edge, a one-row
+    # remainder (16 385) among them, and a one-row last chunk
+    @pytest.mark.parametrize(
+        "rows", [16383, 16384, 16385, 16386, 32769, CHUNK_ROWS + 16385, 2 * CHUNK_ROWS + 1]
+    )
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_default_blocks(self, monkeypatch, rows, workers):
+        got = _all_reports(self.E1, self.E2, self.N, rows, workers)
+        assert got == self.whole_chunks(monkeypatch, rows, workers)
+
+    # 128-row blocks put many edges in one chunk: rows on and around them,
+    # with one-row remainders (1025, CHUNK_ROWS + 129)
+    @pytest.mark.parametrize("rows", [1023, 1024, 1025, 1026, 1151, CHUNK_ROWS + 129])
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_small_blocks(self, monkeypatch, rows, workers):
+        with monkeypatch.context() as m:
+            m.setattr(risk_lab, "BLOCK_VALUES", 128 * self.N)
+            assert risk_lab._block_rows(self.N) == 128
+            got = _all_reports(self.E1, self.E2, self.N, rows, workers)
+        assert got == self.whole_chunks(monkeypatch, rows, workers)
+
+    def test_estimators_see_blocks(self):
+        seen = []
+
+        def fn(x):
+            seen.append(x.shape[0])
+            return np.mean(x, axis=-1)
+
+        e = Estimator("recording", fn)
+        estimate_risk(EXP, 2.0, self.N, e, NEGLOG, "left", CHUNK_ROWS + 16385, seed=1)
+        assert seen == [16384] * 4 + [16385]
+
+
+class TestEstimatorOutputShape:
+    """An estimator must give one float per replicate, in every report type."""
+
+    ROWS = 1000
+    GOOD = build_type1_umvue(EXP, NEGLOG)
+    BAD = {
+        "one short": (lambda x: x[:-1, 0], "(999,)"),
+        "scalar": (lambda x: 2.0, "()"),
+        "column": (lambda x: x[:, :1], "(1000, 1)"),
+        "two columns": (lambda x: x[:, :2], "(1000, 2)"),
+    }
+
+    def reports(self, e, workers):
+        run = (self.ROWS, 3, workers)
+        yield lambda: estimate_risk(EXP, 2.0, 5, e, NEGLOG, "left", *run)
+        yield lambda: estimate_risk(EXP, 2.0, 5, e, NEGLOG, "right", *run)
+        yield lambda: check_type1_unbiased(EXP, [2.0], e, NEGLOG, 5, *run)
+        yield lambda: check_type2_unbiased(EXP, [2.0], e, 5, *run)
+        yield lambda: lehmann_grid_check(EXP, 2.0, (1.5, 2.0), e, NEGLOG, "right", 5, *run)
+        yield lambda: compare_estimators(EXP, 2.0, 5, (e, self.GOOD), NEGLOG, "left", *run)
+        yield lambda: compare_estimators(EXP, 2.0, 5, (self.GOOD, e), NEGLOG, "left", *run)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kind", sorted(BAD))
+    def test_refused_with_both_shapes(self, kind, workers):
+        fn, shape = self.BAD[kind]
+        e = Estimator("bad", fn)
+        for report in self.reports(e, workers):
+            with pytest.raises(ConfigError, match=rf"'bad'.*\(1000,\).*{re.escape(shape)}"):
+                report()
