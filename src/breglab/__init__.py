@@ -20,9 +20,8 @@ _EXPORTS = {
     name: module
     for module, names in {
         "discrete_oracle": (
-            "MAX_OUTCOMES", "RESIDUAL_TOL", "DiscreteModel", "exact_expectation",
-            "exact_rao_blackwell", "verify_decompositions", "verify_decompositions_grid",
-            "verify_rb_inequality",
+            "MAX_OUTCOMES", "RESIDUAL_TOL", "DiscreteModel", "exact_rao_blackwell",
+            "verify_decompositions", "verify_decompositions_grid", "verify_rb_inequality",
         ),
         "divergence": (
             "DecompositionReport", "bregman_div", "bregman_mean", "decompose_left",

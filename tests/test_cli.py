@@ -545,6 +545,20 @@ class TestOracleCommand:
         assert out.count("theta = ") == 3
         assert "PASS max_residual = " in out
 
+    @pytest.mark.parametrize("support,estimator,theta", [
+        ("1e6,2e6,3e6", "first-k:1", "1e-6"),
+        ("1e6,2e6,3e6", "mean", "1e-6,1e-7"),
+        ("1e-6,2e-6,3e-6", "first-k:1", "1e6"),
+    ], ids=["large-support-first", "large-support-mean", "large-theta-first"])
+    def test_large_scale_identities_pass(self, capsys, support, estimator, theta):
+        # risks near 1e12 close to about 1e-4 absolute (a few ulps); the
+        # tolerances are relative to the largest risk term, so these PASS
+        code, out, _ = run(
+            capsys, "oracle", "--support", support, "--n", "3", "--gen", "sqeuclid",
+            "--estimator", estimator, "--theta", theta,
+        )
+        assert code == 0 and "PASS max_residual = " in out
+
     def test_budget_exit_2(self, capsys):
         code, _, err = run(
             capsys, "oracle", "--m", "10", "--n", "8", "--gen", "neglog",

@@ -18,7 +18,6 @@ from breglab import (
     decompose_left,
     decompose_right,
     dual_transport,
-    exact_expectation,
     exact_rao_blackwell,
     mahalanobis,
     negative_entropy,
@@ -31,7 +30,7 @@ from breglab import (
     verify_rb_inequality,
 )
 from breglab import discrete_oracle
-from breglab.discrete_oracle import _law, _mean, _multiset_classes
+from breglab.discrete_oracle import _expect, _law, _multiset_classes
 from breglab.generators import SeparableGenerator
 
 FIRST = Estimator("first", lambda x: x[..., 0])
@@ -178,43 +177,13 @@ class TestDiscreteModel:
     )
     def test_outcome_weights_match_rowwise_product(self, support, n):
         # the outer-product build must keep the lexicographic, first-coordinate
-        # slowest order that _expect's leading-coordinate blocks rely on
+        # slowest order of outcome_values, which every law gathers weights in
         dm = DiscreteModel(support, n)
         for theta in (0.5, 1.0, 2.0):
             w = dm.outcome_weights(theta)
             rowwise = np.prod(dm.pmf(theta)[outcome_index(dm.m, n)], axis=1)
             npt.assert_array_equal(w, rowwise)
             assert abs(float(w.sum()) - 1.0) <= 1e-14
-
-
-class TestExactExpectation:
-    def test_marginal_mean_matches_hand_sum(self):
-        dm = DiscreteModel((1.0, 2.0, 3.0), 4)
-        theta = 0.8
-        p = dm.pmf(theta)
-        hand = float(np.sum(p * np.asarray(dm.support)))
-        got = exact_expectation(dm, theta, lambda v: v[:, 0])
-        npt.assert_allclose(got, hand, rtol=1e-14)
-        # the mean of i.i.d. coordinates has the same expectation
-        npt.assert_allclose(exact_expectation(dm, theta, MEAN.fn), hand, rtol=1e-14)
-
-    def test_collision_probability(self):
-        # P(X1 = X2) = sum_i p_i^2
-        dm = DiscreteModel((1.0, 2.0, 5.0), 2)
-        p = dm.pmf(1.1)
-        got = exact_expectation(dm, 1.1, lambda v: (v[:, 0] == v[:, 1]).astype(float))
-        npt.assert_allclose(got, float(np.sum(p * p)), rtol=1e-14)
-
-    def test_vector_valued_function(self):
-        dm = DiscreteModel((1.0, 3.0), 3)
-        out = exact_expectation(dm, 0.7, lambda v: v)
-        marg = float(np.sum(dm.pmf(0.7) * np.asarray(dm.support)))
-        npt.assert_allclose(out, np.full(3, marg), rtol=1e-14)
-
-    def test_shape_mismatch_rejected(self):
-        dm = DiscreteModel((1.0, 2.0), 2)
-        with pytest.raises(ConfigError):
-            exact_expectation(dm, 1.0, lambda v: v[:3, 0])
 
 
 class TestExactRaoBlackwell:
@@ -314,9 +283,8 @@ class TestRBInequality:
         theta = 1.2
         rep = verify_rb_inequality(dm, g, FIRST, (theta,))
         rb = exact_rao_blackwell(dm, g, FIRST)
-        var = lambda fn: exact_expectation(dm, theta, lambda v: fn(v) ** 2) - (
-            exact_expectation(dm, theta, fn) ** 2
-        )
+        w, v = dm.outcome_weights(theta), dm.outcome_values
+        var = lambda fn: np.sum(w * fn(v) ** 2) - np.sum(w * fn(v)) ** 2
         half_reduction = 0.5 * (var(FIRST.fn) - var(rb.fn))
         npt.assert_allclose(rep.rows[0].gap, half_reduction, atol=1e-12)
 
@@ -332,6 +300,20 @@ class TestComputeOnce:
         e, calls = counting(FIRST)
         verify_rb_inequality(dm, g, e, self.THETAS)
         assert calls == [(81, 4)]
+
+    def test_rb_check_takes_two_expectations_per_theta(self, monkeypatch):
+        # the risks of e and of its Rao-Blackwell estimate, each through _expect
+        calls = []
+        original = discrete_oracle._expect
+
+        def expect(p, values):
+            calls.append(len(p))
+            return original(p, values)
+
+        monkeypatch.setattr(discrete_oracle, "_expect", expect)
+        dm = DiscreteModel((1.0, 2.0, 3.0), 4)
+        verify_rb_inequality(dm, negative_log(1), FIRST, self.THETAS)
+        assert len(calls) == 2 * len(self.THETAS)
 
     @pytest.mark.parametrize("g", ORACLE_GENERATORS, ids=lambda g: g.id)
     def test_decomposition_check_calls_estimator_once(self, g):
@@ -376,7 +358,7 @@ class TestComputeOnce:
             w = dm.outcome_weights(row.theta)
             for risk, est in ((row.risk_rb, rb), (row.risk_estimator, e)):
                 law = _law(np.asarray(est.fn(vals), dtype=float))
-                ref = _mean(law.probabilities(w), bregman_div(g, row.theta, law.atoms))
+                ref = _expect(law.probabilities(w), bregman_div(g, row.theta, law.atoms))
                 assert risk == ref
 
     def test_theta_errors_unchanged(self):
@@ -610,7 +592,7 @@ class TestLaw:
         assert np.array_equal(law.atoms, np.unique(delta))
         assert np.array_equal(law.order, np.argsort(delta, kind="stable"))
         for f in (lambda x: x, g.gradient, g.value, lambda x: bregman_div(g, theta, x)):
-            assert_enumerated(_mean(p, f(law.atoms)), w, f(delta))
+            assert_enumerated(_expect(p, f(law.atoms)), w, f(delta))
 
         (chk,) = verify_decompositions_grid(dm, g, e, [theta])
         assert_enumerated(chk.center_right, w, delta)
@@ -706,9 +688,8 @@ class TestDecompositions:
     def test_right_center_is_plain_expectation(self):
         dm = DiscreteModel((1.0, 2.0), 3)
         chk = verify_decompositions(dm, negative_log(1), MEAN, 0.9)
-        npt.assert_allclose(
-            chk.center_right, exact_expectation(dm, 0.9, MEAN.fn), rtol=1e-14
-        )
+        brute = np.sum(dm.outcome_weights(0.9) * MEAN.fn(dm.outcome_values))
+        npt.assert_allclose(chk.center_right, brute, rtol=1e-14)
 
     def test_transport_identity_under_enumeration(self):
         # left risk computed in dual space must match the primal enumeration
