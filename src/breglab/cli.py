@@ -205,10 +205,15 @@ def cmd_check(cfg: dict):
     from .models import resolve_model
     from .risk_lab import lehmann_grid_check
 
+    kind, thetas = cfg["kind"], _float_list(cfg["theta"])
+    # the unbiasedness checks have no loss, so neither option could act on them
+    if kind != "lehmann" and (cfg["orientation"] != "left" or cfg["grid"] is not None):
+        raise ConfigError(
+            f"--orientation and --grid apply only to check --kind lehmann, not {kind}"
+        )
     model = resolve_model(cfg["model"])
     g = resolve_generator(cfg["gen"], dim=1) if cfg["gen"] else None
     e = resolve_estimator(cfg["estimator"], model, g)
-    kind, thetas = cfg["kind"], _float_list(cfg["theta"])
     run = (cfg["n"], cfg["replicates"], cfg["seed"], cfg["workers"])
     if g is None and kind != "type2":
         raise ConfigError(f"check --kind {kind} needs --gen")

@@ -19,15 +19,18 @@ decompose_left/right do.  The domain of the estimate is still checked on the
 full outcome array, so error messages name outcome indices.
 
 Three kinds of reuse stay because the 54-case benchmark battery is slower
-without each (2-core VM, medians of 15 runs in each of 5 processes, 0.25 s
-with all of them):
+without each (2-core VM, one battery body timed in process, median of 11
+bodies in each of 2 processes; 0.128-0.130 s with all of them, and the
+same results bit for bit without any one):
 - a model keeps the estimates of its last check and their law, so the
   Rao-Blackwell check, the decompositions at each theta and
-  exact_rao_blackwell sort one estimator's values once (0.35 s without);
-- a law keeps its atom probabilities per theta (0.28 s without), and the
-  Rao-Blackwell check weighs the outcomes once per theta for both its laws;
+  exact_rao_blackwell sort one estimator's values once (0.184-0.188 s
+  without);
+- a law keeps its atom probabilities per theta (0.144-0.146 s without), and
+  the Rao-Blackwell check weighs the outcomes once per theta for both its
+  laws;
 - the Rao-Blackwell law is built from its class labels by _law_of_labels
-  (0.34 s sorting its values with _law instead).
+  (0.184 s sorting its values with _law instead).
 
 Conditioning is one step, _condition: given a partition of the outcomes into
 equally likely cells, average the dual image grad phi(e) over each cell and
@@ -253,19 +256,13 @@ def _grid(theta_grid) -> list[float]:
 
 
 def _estimates(dm: DiscreteModel, e: Estimator) -> np.ndarray:
-    """e on every outcome row, one float per outcome, contiguous.
+    """e on every outcome row, one float per outcome (Estimator.per_row), contiguous.
 
     An estimator may return a strided view; sorting and checking a
     contiguous copy is several times faster than the view.
     """
     e.check_n(dm.n)
-    values = np.ascontiguousarray(e.fn(dm.outcome_values), dtype=float)
-    if values.shape != (dm.outcome_count,):
-        raise ConfigError(
-            f"estimator {e.id!r} must give one value per outcome, shape "
-            f"({dm.outcome_count},), got {values.shape}"
-        )
-    return values
+    return np.ascontiguousarray(e.per_row(e.fn(dm.outcome_values), dm.outcome_count))
 
 
 def _estimate_law(dm: DiscreteModel, g: Generator, e: Estimator, label: str):

@@ -28,16 +28,15 @@ _BLOCK_ELEMS = 1 << 22  # cap on rows * permutations held in memory at once
 
 @dataclass(frozen=True)
 class Estimator:
-    """Named sample-to-estimate map with declared unbiasedness claims.
+    """Named sample-to-estimate map.
 
-    The unbiasedness tags ("type2", "type1:<generator id>") are claims to be
-    checked by the risk lab, never assumptions.
+    Whether an estimator is type-I or type-II unbiased is checked by the
+    risk lab, never declared here.
     """
 
     id: str
     fn: object = field(repr=False)
-    unbiasedness: frozenset = frozenset()
-    requires_min_n: int = 1
+    requires_min_n: int = field(default=1, kw_only=True)
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)
@@ -51,6 +50,16 @@ class Estimator:
         if n < self.requires_min_n:
             raise ConfigError(f"estimator '{self.id}' needs n >= {self.requires_min_n}, got {n}")
 
+    def per_row(self, values, rows: int) -> np.ndarray:
+        """Output on rows samples as floats; a ConfigError unless it has shape (rows,)."""
+        values = np.asarray(values, dtype=float)
+        if values.shape != (rows,):
+            raise ConfigError(
+                f"estimator {self.id!r} must give one value per sample row, shape ({rows},),"
+                f" got {values.shape}"
+            )
+        return values
+
 
 @lru_cache(maxsize=None)
 def _permutation_matrix(n: int) -> np.ndarray:
@@ -60,15 +69,9 @@ def _permutation_matrix(n: int) -> np.ndarray:
 def rao_blackwell_estimator(g: Generator, e: Estimator, fn) -> Estimator:
     """The estimator fn, which computes (grad phi)^-1(E[grad phi(e) | multiset of the sample]).
 
-    Its id names g and e.  It keeps e's type-I claims, since a dual-space
-    average preserves the dual-space mean, and e's minimum n.
+    Its id names g and e, and it keeps e's minimum n.
     """
-    return Estimator(
-        id=f"rb[{g.id},perms=all]({e.id})",
-        fn=fn,
-        unbiasedness=frozenset(t for t in e.unbiasedness if t.startswith("type1")),
-        requires_min_n=e.requires_min_n,
-    )
+    return Estimator(f"rb[{g.id},perms=all]({e.id})", fn, requires_min_n=e.requires_min_n)
 
 
 def symmetrize(g: Generator, e: Estimator) -> Estimator:
@@ -122,32 +125,12 @@ def _sample_mean(x: np.ndarray) -> np.ndarray:
     return _row_sum(x) / x.shape[-1]
 
 
-def _type1_exp_neglog(model) -> Estimator:
-    return Estimator(
-        "type1",
-        lambda x: _row_sum(x) / (x.shape[-1] - 1),
-        frozenset({"type1:neglog"}),
-        requires_min_n=2,
-    )
-
-
-def _type1_lognormal_negentropy(model) -> Estimator:
-    return Estimator(
-        "type1",
-        lambda x: np.exp(_sample_mean(np.log(x))),
-        frozenset({"type1:negentropy"}),
-        requires_min_n=1,
-    )
-
-
-def _type1_normal_sqeuclid(model) -> Estimator:
-    return Estimator("type1", _sample_mean, frozenset({"type1:sqeuclid", "type2"}))
-
-
 _TYPE1_REGISTRY = {
-    ("exp", "neglog"): _type1_exp_neglog,
-    ("lognormal", "negentropy"): _type1_lognormal_negentropy,
-    ("normal", "sqeuclid"): _type1_normal_sqeuclid,
+    ("exp", "neglog"): Estimator(
+        "type1", lambda x: _row_sum(x) / (x.shape[-1] - 1), requires_min_n=2
+    ),
+    ("lognormal", "negentropy"): Estimator("type1", lambda x: np.exp(_sample_mean(np.log(x)))),
+    ("normal", "sqeuclid"): Estimator("type1", _sample_mean),
 }
 
 
@@ -157,15 +140,13 @@ def build_type1_umvue(model, g: Generator) -> Estimator:
     Only registered (model family, generator) pairs are supported; anything
     else raises UnsupportedError rather than guessing a construction.
     """
-    key = (model.family, g.id)
     try:
-        factory = _TYPE1_REGISTRY[key]
+        return _TYPE1_REGISTRY[model.family, g.id]
     except KeyError:
         raise UnsupportedError(
             f"no dual-unbiased construction registered for model '{model.family}'"
             f" with generator '{g.id}'"
         ) from None
-    return factory(model)
 
 
 def first_k_estimator(model, g: Generator | None, k: int) -> Estimator:
@@ -180,23 +161,12 @@ def first_k_estimator(model, g: Generator | None, k: int) -> Estimator:
         raise ConfigError(f"first-k needs k >= 1, got {k}")
     base = None
     if g is not None:
-        factory = _TYPE1_REGISTRY.get((getattr(model, "family", None), g.id))
-        if factory is not None:
-            candidate = factory(model)
-            if k >= candidate.requires_min_n:
-                base = candidate
-    if base is not None:
+        base = _TYPE1_REGISTRY.get((getattr(model, "family", None), g.id))
+    if base is not None and k >= base.requires_min_n:
         fn = lambda x, _f=base.fn: _f(x[..., :k])
-        tags = base.unbiasedness
     else:
         fn = lambda x: _sample_mean(x[..., :k])
-        tags = _mean_tags(model)
-    return Estimator(f"first-k:{k}", fn, tags, requires_min_n=k)
-
-
-def _mean_tags(model) -> frozenset:
-    """Claims of a plain sample mean: mean-unbiased where the model's mean is theta."""
-    return frozenset({"type2"}) if getattr(model, "family", None) in ("exp", "normal") else frozenset()
+    return Estimator(f"first-k:{k}", fn, requires_min_n=k)
 
 
 def const_estimator(value: float) -> Estimator:
@@ -205,7 +175,7 @@ def const_estimator(value: float) -> Estimator:
     text = f"{v:g}"
     if float(text) != v:
         text = repr(v)
-    return Estimator(f"const:{text}", lambda x: np.full(x.shape[:-1], v), frozenset(), 1)
+    return Estimator(f"const:{text}", lambda x: np.full(x.shape[:-1], v))
 
 
 def resolve_estimator(spec: str, model, g: Generator | None = None) -> Estimator:
@@ -217,7 +187,7 @@ def resolve_estimator(spec: str, model, g: Generator | None = None) -> Estimator
     if spec == "classical":
         return model.classical_umvue
     if spec == "mean":
-        return Estimator("mean", _sample_mean, _mean_tags(model))
+        return Estimator("mean", _sample_mean)
     if spec == "type1":
         if g is None:
             raise ConfigError("the type1 estimator needs a generator")

@@ -9,10 +9,10 @@ chunk grid is fixed, so batches are identical for any worker count.
 the chunk into consecutive row blocks of a caller's buffer: the uniforms of
 a block fill it and each family's transform runs in place on them before
 the next block is drawn.  Philox is counter-based, so the rows are the same
-for any block size, and a chunk allocates no array.  ``Model.draw_chunk`` is
-that iterator with one block, and ``Model.draw`` fills the rows of its
-result from it; the risk lab draws block by block into one buffer per
-worker thread and estimates each block while it is in cache.
+for any block size, and a chunk allocates no array.  ``Model.draw`` runs
+that iterator with one block per chunk over the chunk's rows of its result;
+the risk lab draws block by block into one buffer per worker thread and
+estimates each block while it is in cache.
 
 scipy is imported only where it is used: the normal and lognormal transforms
 import ``scipy.special.ndtri`` on each call, so the first Gaussian draw of a
@@ -100,22 +100,6 @@ class Model:
             yield start, stop, u
             start = stop
 
-    def draw_chunk(
-        self, theta: float, n: int, seed: int, c: int, rows: int, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """(rows, n) observations of chunk c: the Philox stream keyed by derive_key(seed, c).
-
-        With out (C-contiguous float64, shape (rows, n)) the observations are
-        written into it and out is returned.  The chunk is drawn as one block.
-        """
-        if out is None:
-            out = np.empty((rows, n))
-        elif out.shape != (rows, n):
-            raise ValueError(f"out has shape {out.shape}, expected {(rows, n)}")
-        for _ in self.draw_blocks(theta, n, seed, c, out, rows):
-            pass
-        return out
-
     def draw(self, theta, n: int, replicates: int, seed: int, workers: int = 1) -> np.ndarray:
         """(replicates, n) array of observations, identical for any worker count."""
         theta = self._check_theta(theta)
@@ -127,7 +111,8 @@ class Model:
         out = np.empty((int(replicates), n))
 
         def fill(c, start, stop):
-            self.draw_chunk(theta, n, seed, c, stop - start, out=out[start:stop])
+            for _ in self.draw_blocks(theta, n, seed, c, out[start:stop], stop - start):
+                pass
 
         map_chunks(fill, replicates, workers)
         return out
@@ -147,7 +132,7 @@ class Model:
     @property
     def classical_umvue(self) -> Estimator:
         """The sample mean, mean-unbiased where the model's mean is theta."""
-        return Estimator("classical", _sample_mean, frozenset({"type2"}), 1)
+        return Estimator("classical", _sample_mean)
 
 
 class ExponentialModel(Model):
@@ -222,7 +207,7 @@ class LogNormalModel(Model):
         def fn(x):
             return np.exp(_sample_mean(np.log(x)) - sigma2 / (2.0 * x.shape[-1]))
 
-        return Estimator("classical", fn, frozenset({"type2"}), 1)
+        return Estimator("classical", fn)
 
 
 def resolve_model(spec: str) -> Model:

@@ -254,25 +254,14 @@ def _block_rows(n: int) -> int:
     return 1 << max(3, (BLOCK_VALUES // n).bit_length() - 1)
 
 
-def _one_per_row(eid: str, values, rows: int) -> np.ndarray:
-    """An estimator's output on a block of rows as floats, refused unless it has shape (rows,)."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (rows,):
-        raise ConfigError(
-            f"estimator {eid!r} must give one value per replicate, shape ({rows},),"
-            f" got {values.shape}"
-        )
-    return values
-
-
 def _stream(model: Model, theta, n, estimators, replicates, seed, workers, reduce):
     """Merged summaries of one replicate stream, computed chunk by chunk.
 
     Chunk c draws the rows keyed by derive_key(seed, c) block by block
     (Model.draw_blocks) and runs every estimator on each block while it is
     in cache, writing one chunk-length array of estimates per estimator.
-    An estimator must give one float per row of the block it is called on;
-    any other shape is a ConfigError.  reduce then takes the whole chunk's
+    An estimator must give one float per row of the block it is called on
+    (Estimator.per_row); any other shape is a ConfigError.  reduce then takes the whole chunk's
     estimates, keyed by estimator id, and returns a sequence of summaries.
     Summaries merge in the fixed pairwise tree, so the result is the same
     for any worker count and, since estimators work row by row, any block size.
@@ -294,16 +283,18 @@ def _stream(model: Model, theta, n, estimators, replicates, seed, workers, reduc
     def chunk(c, start, stop):
         buf = getattr(local, "buf", None)
         if buf is None:
-            # a whole chunk's rows although one block would do: with a
-            # one-block buffer per thread, glibc's dynamic mmap and trim
-            # thresholds stay low, and a reproduce run took 7 times the minor
-            # page faults (18 800 against 2 600) and 15 % more time
+            # a whole chunk's rows although one block would do.  One block
+            # (per thread, or per chunk before or after the estimate arrays)
+            # keeps glibc's dynamic mmap and trim thresholds low: reproduce
+            # took 0.116-0.121 s per run against 0.093 s, at 29 400-34 500
+            # minor page faults against 2 630, for the same bytes (2-core VM,
+            # in process, median of 40 runs in each of 2 processes)
             buf = local.buf = np.empty((min(CHUNK_ROWS, int(replicates)), n))
         rows = stop - start
         est = {eid: np.empty(rows) for eid in seen}
         for lo, hi, x in model.draw_blocks(theta, n, seed, c, buf[:rows], block_rows):
             for eid, e in seen.items():
-                est[eid][lo:hi] = _one_per_row(eid, e(x), hi - lo)
+                est[eid][lo:hi] = e.per_row(e(x), hi - lo)
         return _Parts(reduce(est))
 
     return pairwise_sum(map_chunks(chunk, replicates, workers))

@@ -825,6 +825,21 @@ USAGE_ERRORS = {
          "--estimator", "classical", "--theta", "1,2", "--grid", "1,2", "--n", "3", "-M", "1000"],
         "takes a single --theta",
     ),
+    "type1-orientation": (
+        ["check", "--kind", "type1", "--model", "exp", "--gen", "neglog", "--estimator", "type1",
+         "--theta", "2", "--n", "5", "-M", "1000", "--orientation", "right"],
+        "apply only to check --kind lehmann",
+    ),
+    "type2-grid": (
+        ["check", "--kind", "type2", "--model", "exp", "--estimator", "classical",
+         "--theta", "2", "--n", "5", "-M", "1000", "--grid", "1,2"],
+        "apply only to check --kind lehmann",
+    ),
+    "type2-orientation-in-config": (
+        ["check", "--config", "right.json", "--kind", "type2", "--model", "exp",
+         "--estimator", "classical", "--theta", "2", "--n", "5", "-M", "1000"],
+        "apply only to check --kind lehmann",
+    ),
     "mahalanobis-no-path": (
         ["divergence", "--gen", "mahalanobis:", "--x", "1", "--y", "2"],
         "needs a matrix file path",
@@ -848,6 +863,7 @@ USAGE_ERRORS = {
 def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch, name):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "right.json").write_text('{"orientation": "right"}')
     (tmp_path / "empty.mat").write_text("")
     (tmp_path / "bad.mat").write_text("2\n1 x\n0 1\n")
     argv, message = USAGE_ERRORS[name]

@@ -1,6 +1,7 @@
 """Exact enumeration oracle: expectations, decomposition closure, risk ordering."""
 
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -55,7 +56,7 @@ def counting(e: Estimator):
         calls.append(np.shape(x))
         return e.fn(x)
 
-    return Estimator(e.id, fn, e.unbiasedness, e.requires_min_n), calls
+    return Estimator(e.id, fn, requires_min_n=e.requires_min_n), calls
 
 
 def outcome_index(m: int, n: int) -> np.ndarray:
@@ -740,6 +741,28 @@ def test_checks_refuse_a_two_dimensional_generator(check):
     # the estimates are scalars, so only a one-dimensional generator applies
     with pytest.raises(ConfigError, match="has dimension 2; the points have 1"):
         check(DiscreteModel((1.0, 2.0), 2), squared_euclidean(2))
+
+
+# estimators on the 27 outcomes of DiscreteModel((1, 2, 3), 3) that do not
+# give one value per outcome, and the shape each gives
+BAD_SHAPES = {
+    "one short": (lambda x: x[:-1, 0], "(26,)"),
+    "scalar": (lambda x: 2.0, "()"),
+    "column": (lambda x: x[:, :1], "(27, 1)"),
+    "two columns": (lambda x: x[:, :2], "(27, 2)"),
+}
+
+
+@pytest.mark.parametrize("check", [
+    lambda dm, g, e: verify_rb_inequality(dm, g, e, (1.0,)),
+    lambda dm, g, e: verify_decompositions_grid(dm, g, e, (1.0,)),
+    lambda dm, g, e: exact_rao_blackwell(dm, g, e),
+], ids=["rb", "decompositions_grid", "exact_rao_blackwell"])
+@pytest.mark.parametrize("kind", sorted(BAD_SHAPES))
+def test_checks_refuse_estimates_not_one_per_outcome(check, kind):
+    fn, shape = BAD_SHAPES[kind]
+    with pytest.raises(ConfigError, match=rf"'bad'.*\(27,\), got {re.escape(shape)}$"):
+        check(DiscreteModel((1.0, 2.0, 3.0), 3), negative_log(1), Estimator("bad", fn))
 
 
 class TestResolveDiscreteEstimator:

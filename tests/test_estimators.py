@@ -45,6 +45,11 @@ class TestEstimatorCalls:
         with pytest.raises(ConfigError):
             head2_mean(np.array([1.0]))
 
+    def test_min_n_is_keyword_only(self):
+        # a positional fourth argument cannot be taken for the minimum n
+        with pytest.raises(TypeError):
+            Estimator("x", lambda x: x[..., 0], frozenset())
+
     def test_scalar_input_rejected(self):
         with pytest.raises(ConfigError, match="must have a sample axis"):
             first_obs(3.0)
@@ -96,11 +101,6 @@ class TestSymmetrize:
         x = rng.normal(0.0, 1.0, (100, 5))
         npt.assert_allclose(rb(x), np.mean(x, axis=-1), rtol=0, atol=1e-12)
 
-    def test_preserves_type1_tags_only(self):
-        e = Estimator("e", lambda x: x[..., 0], frozenset({"type1:neglog", "type2"}))
-        rb = symmetrize(negative_log(1), e)
-        assert rb.unbiasedness == frozenset({"type1:neglog"})
-
     def test_exact_budget_limit_applies(self):
         rb = symmetrize(negative_log(1), first_obs)
         with pytest.raises(BudgetError):
@@ -120,7 +120,6 @@ class TestType1Registry:
     def test_exponential_neglog(self):
         e = build_type1_umvue(ExponentialModel(), negative_log(1))
         npt.assert_allclose(e(np.array([1.0, 2.0, 3.0, 4.0, 5.0])), 3.75)
-        assert e.unbiasedness == frozenset({"type1:neglog"})
         assert e.requires_min_n == 2
         with pytest.raises(ConfigError):
             e(np.array([4.0]))
@@ -139,7 +138,6 @@ class TestType1Registry:
     def test_normal_sqeuclid_is_mean(self):
         e = build_type1_umvue(NormalModel(), squared_euclidean(1))
         npt.assert_allclose(e(np.array([1.0, 2.0, 6.0])), 3.0)
-        assert "type2" in e.unbiasedness
 
     def test_unregistered_pairs_raise(self):
         with pytest.raises(UnsupportedError):
@@ -153,13 +151,11 @@ class TestFirstK:
         e = first_k_estimator(ExponentialModel(), negative_log(1), 3)
         npt.assert_allclose(e(np.array([1.0, 2.0, 3.0, 4.0, 5.0])), 3.0)
         assert e.id == "first-k:3"
-        assert e.unbiasedness == frozenset({"type1:neglog"})
         assert e.requires_min_n == 3
 
     def test_falls_back_to_head_mean_below_min_n(self):
         e = first_k_estimator(ExponentialModel(), negative_log(1), 1)
         npt.assert_allclose(e(np.array([1.0, 2.0, 3.0])), 1.0)
-        assert e.unbiasedness == frozenset({"type2"})
 
     def test_no_generator_means_head_mean(self):
         e = first_k_estimator(ExponentialModel(), None, 2)

@@ -99,10 +99,14 @@ class TestInPlaceDraws:
             rows = min(CHUNK_ROWS, self.ROWS - start)
             u = open_uniforms(philox(derive_key(seed, c)), (rows, n))
             ref = formula(model, u, theta)
-            got = model.draw_chunk(theta, n, seed, c, rows, out=buf[:rows])
-            assert got is not None and np.shares_memory(got, buf)
+            # one block of the whole chunk, drawn into the caller's buffer
+            ((lo, hi, got),) = model.draw_blocks(theta, n, seed, c, buf[:rows], rows)
+            assert (lo, hi) == (0, rows) and np.shares_memory(got, buf)
             npt.assert_array_equal(got, ref)
-            npt.assert_array_equal(model.draw_chunk(theta, n, seed, c, rows), ref)
+            fresh = np.empty((rows, n))
+            for _ in model.draw_blocks(theta, n, seed, c, fresh, rows):
+                pass
+            npt.assert_array_equal(fresh, ref)
             npt.assert_array_equal(x[start : start + rows], ref)
 
     @pytest.mark.parametrize("workers", [1, 2, 8])
@@ -111,18 +115,23 @@ class TestInPlaceDraws:
         theta, n, seed = 2.0, 2, 8
         rows = 2 * CHUNK_ROWS + 3
         chunks = [
-            model.draw_chunk(theta, n, seed, c, min(CHUNK_ROWS, rows - start))
+            x
             for c, start in enumerate(range(0, rows, CHUNK_ROWS))
+            for _, _, x in model.draw_blocks(
+                theta, n, seed, c, np.empty((min(CHUNK_ROWS, rows - start), n)), CHUNK_ROWS
+            )
         ]
         npt.assert_array_equal(model.draw(theta, n, rows, seed, workers=workers), np.vstack(chunks))
 
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.family)
     def test_chunk_into_buffer_allocates_nothing_large(self, model):
         buf = np.empty((CHUNK_ROWS, 5))  # 2.6 MB
-        model.draw_chunk(1.0, 5, 3, 0, CHUNK_ROWS, out=buf)  # warm up
+        for _ in model.draw_blocks(1.0, 5, 3, 0, buf, CHUNK_ROWS):  # warm up
+            pass
         tracemalloc.start()
         try:
-            model.draw_chunk(1.0, 5, 3, 1, CHUNK_ROWS, out=buf)
+            for _ in model.draw_blocks(1.0, 5, 3, 1, buf, CHUNK_ROWS):
+                pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -153,7 +162,9 @@ class TestInPlaceDraws:
     )
     def test_blocks_fill_the_chunk(self, model, rows):
         theta, n, seed, c = 1.5, 3, 4, 2
-        whole = model.draw_chunk(theta, n, seed, c, rows)
+        whole = np.empty((rows, n))
+        for _ in model.draw_blocks(theta, n, seed, c, whole, rows):
+            pass
         out = np.empty((rows, n))
         edges = []
         for lo, hi, x in model.draw_blocks(theta, n, seed, c, out, 16):
@@ -171,7 +182,8 @@ class TestInPlaceDraws:
         for workers in (1, 2):
             npt.assert_array_equal(model.draw(theta, n, self.ROWS, seed, workers=workers), base)
         buf = np.empty((17, n))
-        assert model.draw_chunk(theta, n, seed, 1, 17, out=buf) is buf
+        for _ in model.draw_blocks(theta, n, seed, 1, buf, 17):
+            pass
         npt.assert_array_equal(buf, base[CHUNK_ROWS:])
 
 
@@ -237,7 +249,6 @@ class TestClassicalEstimators:
     def test_exponential_mean(self):
         e = ExponentialModel().classical_umvue
         npt.assert_allclose(e(np.array([1.0, 2.0, 3.0, 4.0, 5.0])), 3.0)
-        assert "type2" in e.unbiasedness
 
     def test_normal_mean(self):
         e = NormalModel().classical_umvue
