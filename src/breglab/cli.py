@@ -205,15 +205,17 @@ def cmd_check(cfg: dict):
     from .models import resolve_model
     from .risk_lab import lehmann_grid_check
 
-    kind, thetas = cfg["kind"], _float_list(cfg["theta"])
+    kind, spec, thetas = cfg["kind"], cfg["estimator"], _float_list(cfg["theta"])
     # the unbiasedness checks have no loss, so neither option could act on them
     if kind != "lehmann" and (cfg["orientation"] != "left" or cfg["grid"] is not None):
         raise ConfigError(
             f"--orientation and --grid apply only to check --kind lehmann, not {kind}"
         )
+    if kind == "type2" and cfg["gen"] and spec.partition(":")[0] not in ("type1", "first-k"):
+        raise ConfigError(f"check --kind type2 reads --gen only for type1 or first-k, not {spec}")
     model = resolve_model(cfg["model"])
     g = resolve_generator(cfg["gen"], dim=1) if cfg["gen"] else None
-    e = resolve_estimator(cfg["estimator"], model, g)
+    e = resolve_estimator(spec, model, g)
     run = (cfg["n"], cfg["replicates"], cfg["seed"], cfg["workers"])
     if g is None and kind != "type2":
         raise ConfigError(f"check --kind {kind} needs --gen")

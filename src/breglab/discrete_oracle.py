@@ -18,19 +18,16 @@ decomposition checks split through divergence._split, as
 decompose_left/right do.  The domain of the estimate is still checked on the
 full outcome array, so error messages name outcome indices.
 
-Three kinds of reuse stay because the 54-case benchmark battery is slower
-without each (2-core VM, one battery body timed in process, median of 11
-bodies in each of 2 processes; 0.128-0.130 s with all of them, and the
-same results bit for bit without any one):
+Two kinds of reuse stay because the 54-case benchmark battery is slower
+without each.  Timed in process on a shared 2-core VM, variants alternated
+body by body, median of 15 bodies in each of 6 processes, a body took
+0.31-0.42 s with both, and the same results bit for bit without either:
 - a model keeps the estimates of its last check and their law, so the
   Rao-Blackwell check, the decompositions at each theta and
-  exact_rao_blackwell sort one estimator's values once (0.184-0.188 s
-  without);
-- a law keeps its atom probabilities per theta (0.144-0.146 s without), and
-  the Rao-Blackwell check weighs the outcomes once per theta for both its
-  laws;
-- the Rao-Blackwell law is built from its class labels by _law_of_labels
-  (0.184 s sorting its values with _law instead).
+  exact_rao_blackwell sort one estimator's values once (1.42-1.49 times as
+  long without);
+- a law keeps its atom probabilities per theta, so decompositions after the
+  Rao-Blackwell check weigh no outcome again (1.00-1.25 times, median 1.10).
 
 Conditioning is one step, _condition: given a partition of the outcomes into
 equally likely cells, average the dual image grad phi(e) over each cell and
@@ -47,8 +44,10 @@ budget.  Classes are numbered in lexicographic order of their sorted
 support indices and labelled without sorting any outcome row: a transition
 table maps (class of a length-k prefix, next symbol) to the class of the
 length-(k+1) prefix, and gathering it k = 1..n times labels the outcomes in
-enumeration order.  The labels and class sizes are cached read-only for a
-few recent (m, n).
+enumeration order.  Labels, class sizes and sorted representatives are
+cached read-only for a few recent (m, n).  The Rao-Blackwell risk is summed
+over the classes, each weighing its size n!/prod(c_j!) times the probability
+prod(p_j^c_j) of one ordering.
 """
 
 from __future__ import annotations
@@ -201,16 +200,15 @@ class _Law:
         """Atom probabilities under outcome weights w: one pairwise sum per atom."""
         return np.add.reduceat(w[self.order], self.starts)
 
-    def probabilities_at(self, dm: DiscreteModel, theta: float, w=None) -> np.ndarray:
+    def probabilities_at(self, dm: DiscreteModel, theta: float) -> np.ndarray:
         """probabilities(dm.outcome_weights(theta)), computed once per theta.
 
-        w, if given, is dm.outcome_weights(theta) already computed by the
-        caller.  Results are kept, read-only, while their total length stays
-        within _CACHED_PROBABILITIES.
+        Results are kept, read-only, while their total length stays within
+        _CACHED_PROBABILITIES.
         """
         p = self.by_theta.get(theta)
         if p is None:
-            p = self.probabilities(dm.outcome_weights(theta) if w is None else w)
+            p = self.probabilities(dm.outcome_weights(theta))
             if (len(self.by_theta) + 1) * len(self.atoms) <= _CACHED_PROBABILITIES:
                 p.setflags(write=False)
                 self.by_theta[theta] = p
@@ -227,19 +225,6 @@ def _law(values: np.ndarray) -> _Law:
     ranked = values[order]
     starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
     return _Law(ranked[starts], order, starts)
-
-
-def _law_of_labels(atoms: np.ndarray, labels: np.ndarray) -> _Law:
-    """_law(atoms[labels]) for ascending distinct atoms that all occur in it.
-
-    Ordering by label is ordering by value, so a stable sort of the labels
-    gives the same grouping; in an unsigned dtype of at most 16 bits numpy
-    radix-sorts them, faster than _law sorts the values.
-    """
-    narrow = labels.astype(np.min_scalar_type(len(atoms) - 1), copy=False)
-    sizes = np.bincount(narrow, minlength=len(atoms))
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    return _Law(atoms, np.argsort(narrow, kind="stable"), starts)
 
 
 def _expect(p: np.ndarray, values) -> float:
@@ -291,15 +276,15 @@ def _estimate_law(dm: DiscreteModel, g: Generator, e: Estimator, label: str):
 
 @lru_cache(maxsize=4)
 def _multiset_classes(m: int, n: int):
-    """Multiset class of every outcome row, in outcome_values order, and class sizes.
+    """Multiset class of every outcome row, in outcome_values order, and the classes.
 
     Classes are numbered like np.unique of the rows' sorted support indices:
     by their sorted index tuples in lexicographic order.  reps holds the
     sorted representative of each class of length k; adding symbol s to it
     and re-sorting gives the class of length k + 1 that table[c, s] names.
     Outcome rows enumerate prefixes first-coordinate slowest, so the labels
-    of the length-(k+1) prefixes are table[labels].ravel().  Both arrays are
-    cached per (m, n) and read-only.
+    of the length-(k+1) prefixes are table[labels].ravel().  Returns labels,
+    counts and the final reps, each cached per (m, n) and read-only.
     """
     reps = np.zeros((1, 0), dtype=np.int64)
     labels = np.zeros(1, dtype=np.int64)
@@ -312,9 +297,9 @@ def _multiset_classes(m: int, n: int):
         reps = grown[first]
         labels = table.reshape(-1, m)[labels].ravel()
     counts = np.bincount(labels)
-    labels.setflags(write=False)
-    counts.setflags(write=False)
-    return labels, counts
+    for arr in (labels, counts, reps):
+        arr.setflags(write=False)
+    return labels, counts, reps
 
 
 def _condition(g: Generator, duals: np.ndarray, labels: np.ndarray, counts: np.ndarray):
@@ -338,7 +323,7 @@ def _rb_table(dm: DiscreteModel, g: Generator, e: Estimator):
     """
     values, law = _estimate_law(dm, g, e, "x")
     base = _Points(g, law.atoms)
-    cls, counts = _multiset_classes(dm.m, dm.n)
+    cls, counts, _ = _multiset_classes(dm.m, dm.n)
     return values, law, base, cls, _condition(g, law.spread(base.grad), cls, counts)
 
 
@@ -405,26 +390,25 @@ def verify_rb_inequality(dm: DiscreteModel, g: Generator, e: Estimator, theta_gr
     states whether e was already permutation-invariant, in which case the gap
     is zero rather than strictly positive.
 
-    e.fn runs once.  _rb_table builds the class table that
-    exact_rao_blackwell's estimator reads, so rb is that estimator's value on
-    every outcome.  Each risk is summed over the law of its estimator's
-    values, with phi and grad phi taken once per atom for every theta.
+    e.fn runs once.  rb_classes is the class table that exact_rao_blackwell's
+    estimator reads.  The risk of e is summed over the law of its values, that
+    of rb over the multiset classes, with phi and grad phi taken once per atom
+    or class for every theta.
     """
     grid = _grid(theta_grid)
     values, law, base, cls, rb_classes = _rb_table(dm, g, e)
-    rb_atoms, rb_of_class = np.unique(rb_classes, return_inverse=True)
-    rb_law = _law_of_labels(rb_atoms, rb_of_class[cls])
+    _, counts, reps = _multiset_classes(dm.m, dm.n)
     scale = 1.0 + float(np.max(np.abs(law.atoms)))
     moved = rb_classes[cls]
     moved -= values
     invariant = bool(np.max(np.abs(moved, out=moved)) <= _INVARIANCE_TOL * scale)
-    rb = _Points(g, rb_atoms)
+    rb = _Points(g, rb_classes)
     rows = []
     for theta in grid:
-        w = dm.outcome_weights(theta)
         t = _Points(g, theta)
-        risk_base = _expect(law.probabilities_at(dm, theta, w), _loss(g, "left", base, t))
-        risk_rb = _expect(rb_law.probabilities(w), _loss(g, "left", rb, t))
+        risk_base = _expect(law.probabilities_at(dm, theta), _loss(g, "left", base, t))
+        classes = counts * np.prod(dm.pmf(theta)[reps], axis=1)
+        risk_rb = _expect(classes, _loss(g, "left", rb, t))
         rows.append(RBRow(theta, risk_base, risk_rb, risk_base - risk_rb))
     min_gap = min(r.gap for r in rows)
     return RBInequalityReport(

@@ -4,9 +4,8 @@ _div is the one formula and _clamped the one clamp: bregman_div,
 dual_divergence (from conjugate values and the inverse gradient) and every
 loss evaluate through them.  _clamped passes a nonnegative float without
 numpy (generators._float_scalar); without that path, there and in the
-generators, one body of the 54-case oracle battery took 0.143 s against
-0.128-0.130 s (2-core VM, in process, median of 11 bodies in each of 2
-processes).
+generators, one body of the 54-case oracle battery takes 1.03-1.24 times as
+long (median 1.07, measured as the discrete_oracle docstring states).
 
 This module owns the bias/variance split.  A loss D(theta, delta) splits
 exactly at the dual mean (grad phi)^-1(E grad phi(delta)), D(delta, theta) at

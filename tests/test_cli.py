@@ -374,6 +374,35 @@ class TestCheckCommand:
         )
         assert code == 0 and out.count("-> PASS") == 2
 
+    @pytest.mark.parametrize("spec", ["classical", "mean", "const:1"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_type2_refuses_gen_its_estimator_does_not_read(self, capsys, tmp_path, spec, source):
+        # --gen would be echoed and recorded, yet change nothing
+        argv = ["check", "--kind", "type2", "--model", "exp", "--estimator", spec,
+                "--theta", "2", "--n", "5", "-M", "2000", "--seed", "1"]
+        if source == "flag":
+            argv += ["--gen", "negentropy"]
+        else:
+            config = tmp_path / "gen.json"
+            config.write_text('{"gen": "negentropy"}')
+            argv += ["--config", str(config)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and f"--gen only for type1 or first-k, not {spec}" in err
+
+    def test_type2_reads_gen_through_type1_and_first_k(self, capsys):
+        run_args = ("--theta", "2", "--n", "5", "-M", "2000", "--seed", "1")
+        code, _, _ = run(capsys, "check", "--kind", "type2", "--model", "exp", "--gen", "neglog",
+                         "--estimator", "type1", *run_args)
+        assert code == 0
+        # on exp, neglog selects the registered T/(k-1) base for first-k:3
+        argv = ["check", "--kind", "type2", "--model", "exp", "--estimator", "first-k:3", *run_args]
+        code, plain, _ = run(capsys, *argv)
+        assert code == 0
+        code, with_gen, _ = run(capsys, *argv, "--gen", "neglog")
+        assert code == 0
+        verdict = lambda out: out.splitlines()[-1]
+        assert verdict(plain) != verdict(with_gen)
+
     def test_lehmann(self, capsys):
         code, out, _ = run(
             capsys, "check", "--kind", "lehmann", "--model", "exp", "--gen", "neglog",
@@ -839,6 +868,11 @@ USAGE_ERRORS = {
         ["check", "--config", "right.json", "--kind", "type2", "--model", "exp",
          "--estimator", "classical", "--theta", "2", "--n", "5", "-M", "1000"],
         "apply only to check --kind lehmann",
+    ),
+    "type2-gen-unread": (
+        ["check", "--kind", "type2", "--model", "exp", "--gen", "negentropy",
+         "--estimator", "classical", "--theta", "2", "--n", "5", "-M", "1000"],
+        "reads --gen only for type1 or first-k, not classical",
     ),
     "mahalanobis-no-path": (
         ["divergence", "--gen", "mahalanobis:", "--x", "1", "--y", "2"],

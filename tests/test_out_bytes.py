@@ -9,6 +9,11 @@ the sha256 of the --out file and the sha256 of stdout must match the values
 recorded here.  A refactor that is meant to leave every output unchanged
 keeps this file as it is; a change that moves an output on purpose records
 the new hashes and says why.
+
+History: the four oracle hashes were re-recorded after e46ab0b, when the
+Rao-Blackwell risk began to be summed over multiset classes instead of over
+the law of the Rao-Blackwell values on every outcome.  Only risk_rb and gap
+moved, in their last digits (risk_rb by at most 3.8e-16 relative).
 """
 
 import hashlib
@@ -134,23 +139,23 @@ GOLDEN = {
     ),
     ("oracle-negentropy-mean", "json"): (
         0,
-        "5242074b44140dda31282dc118515add3711fcf5c369f6c3d6ed43c84d9621a6",
-        "217f53a1bd9b0f9922d2cdde2561fd35205a113a195744ade73f432e2f6be313",
+        "bb1eba24f47abc0f3fc198edca2fd64f1002bbfad3e4db33e5f3acee6970c76e",
+        "dde574dddb775773122536fd782f1be9e94650f90a6bb541fc03687222ddd7d9",
     ),
     ("oracle-negentropy-mean", "csv"): (
         0,
-        "6c9e544cffaf60464116dd457bcde9c279e64a0d8c354908d8ad91bfc28e0363",
-        "eb2dd56297aea4e0b8522cf87d3f1c4c6fa92d037b5b101c59c25ac8c72af963",
+        "a4dccbfb6f5e996d9266f25e39a107a236a980efca31b84cea448134f1410082",
+        "8819e724956f0e50e3b2c406603bb565112fc9f2e4a4f4dffb78a0ffcbc0349a",
     ),
     ("oracle-neglog-first", "json"): (
         0,
-        "0fd580d10354b73909c20b3a12beae7d9d47c428c10c817a41edba30bf2f73fc",
-        "5941866ebdf97598a25b616fa06a695edbce248a5313d073855e6a305b103d85",
+        "7fe76ec0b5ce6ce8b96a33c646aea545e99c4ef5b9a5bf9479ed7884fd403eb5",
+        "69b906b64c851850ec4a34da74996d5acba37e6f7617e6e5e925c4d0d80116e8",
     ),
     ("oracle-neglog-first", "csv"): (
         0,
-        "f58084db29bd59fdc76830255034e9d546ab7a0088ced9bb103cb51a41756471",
-        "79e6ad062a04a64181a163db08bd2b96a210d9c156666fb36c1303da589d7da2",
+        "05121e872c136138dd35647952a8befcf097f2baf9cf21b1e316526e8c583e18",
+        "eb4349dd570f3d655175e5560171cb79f735d6bffde9740fcb9e340dbc771733",
     ),
     ("reproduce-exp", "json"): (
         0,
