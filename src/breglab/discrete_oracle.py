@@ -11,49 +11,45 @@ lexicographic support order, first coordinate slowest, once for a few recent
 Every expectation is a sum over a law, never over outcomes.  An estimate
 takes few distinct values ("atoms") over the m^n outcomes, and _law pushes
 the outcomes onto them with one stable argsort, by (value, outcome index).
-At each theta an atom's probability is the pairwise sum np.add.reduceat of
-its segment of gathered weights; phi, grad phi and every divergence are
-evaluated once per atom, and _expect is np.sum(p * f(atoms)).  The
-decomposition checks split through divergence._split, as
-decompose_left/right do.  The domain of the estimate is still checked on the
-full outcome array, so error messages name outcome indices.
+The law keeps its cells, the (atom, multiset class) pairs that some outcome
+takes, with the number of outcomes in each.  Every ordering of a multiset is
+equally likely, so at each theta one vector q, the probability of one
+ordering of each class, weighs every law: an atom's probability is the
+pairwise sum np.add.reduceat of mult * q over its cells.  phi, grad phi and
+every divergence are evaluated once per atom, and _expect is
+np.sum(p * f(atoms)).  The decomposition checks split through
+divergence._split, as decompose_left/right do.  The domain of the estimate
+is still checked on the full outcome array, so error messages name outcome
+indices.
 
-Two kinds of reuse stay because the 54-case benchmark battery is slower
-without each.  Timed in process on a shared 2-core VM, variants alternated
-body by body, median of 15 bodies in each of 6 processes, a body took
-0.31-0.42 s with both, and the same results bit for bit without either:
-- a model keeps the estimates of its last check and their law, so the
-  Rao-Blackwell check, the decompositions at each theta and
-  exact_rao_blackwell sort one estimator's values once (1.42-1.49 times as
-  long without);
-- a law keeps its atom probabilities per theta, so decompositions after the
-  Rao-Blackwell check weigh no outcome again (1.00-1.25 times, median 1.10).
-
-Conditioning is one step, _condition: given a partition of the outcomes into
-equally likely cells, average the dual image grad phi(e) over each cell and
-map the cell mean back through the inverse gradient once per cell.  That is
-the type-I construction (grad phi)^-1(E[grad phi(e) | cell]).
+A model keeps the estimates of its last check and their law, so the
+Rao-Blackwell check, the decompositions at each theta and
+exact_rao_blackwell sort one estimator's values once.  Timed in process on a
+shared 2-core VM, with and without that reuse alternated body by body, the
+54-case benchmark battery took 1.83-1.87 times as long without it (median of
+15 bodies in each of 3 processes, 0.36-0.43 s with it).
 
 The exact Rao-Blackwell step conditions on the multiset of observations (the
 order statistic, sufficient under i.i.d. sampling); _rb_table builds its
-table for exact_rao_blackwell and verify_rb_inequality alike.  Every
-ordering of a multiset is equally likely, so averaging the dual image over
-all n! permutations of an outcome equals averaging it over the outcome's
-multiset class, at O(m^n * n) cost with no limit on n beyond the m^n outcome
-budget.  Classes are numbered in lexicographic order of their sorted
+table for exact_rao_blackwell and verify_rb_inequality alike.  Averaging the
+dual image over all n! permutations of an outcome equals averaging it over
+the outcome's multiset class, whose outcomes are equally likely, so the
+class mean of grad phi(e) is summed over the class's cells and mapped back
+through the inverse gradient once per class: the type-I construction
+(grad phi)^-1(E[grad phi(e) | multiset]), with no limit on n beyond the m^n
+outcome budget.  Classes are numbered in lexicographic order of their sorted
 support indices and labelled without sorting any outcome row: a transition
 table maps (class of a length-k prefix, next symbol) to the class of the
 length-(k+1) prefix, and gathering it k = 1..n times labels the outcomes in
 enumeration order.  Labels, class sizes and sorted representatives are
 cached read-only for a few recent (m, n).  The Rao-Blackwell risk is summed
-over the classes, each weighing its size n!/prod(c_j!) times the probability
-prod(p_j^c_j) of one ordering.
+over the classes, each weighing its size n!/prod(c_j!) times q.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -70,8 +66,6 @@ MAX_OUTCOMES = 2_000_000
 RESIDUAL_TOL = 1e-12
 RB_SLACK = 1e-12
 _INVARIANCE_TOL = 1e-10
-# atom probabilities one law keeps across calls, over all its thetas
-_CACHED_PROBABILITIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -96,7 +90,7 @@ class DiscreteModel:
         ordered = tuple(sorted(vals))
         if any(a == b for a, b in zip(ordered, ordered[1:])):
             raise ConfigError("support values must be distinct")
-        if not isinstance(self.n, int) or self.n < 1:
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
             raise ConfigError(f"n must be a positive int, got {self.n!r}")
         if len(ordered) ** self.n > MAX_OUTCOMES:
             raise BudgetError(
@@ -177,54 +171,49 @@ def _outcome_values(support: tuple, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Law:
-    """Distinct values ("atoms") of a per-outcome array and the outcomes taking each.
+    """Distinct values ("atoms") of a per-outcome array and its cells.
 
-    atoms ascend; order lists the outcome indices by (value, outcome index),
-    as a stable argsort of the array does, and starts marks where each atom's
-    run of outcomes begins in order.  by_theta keeps the atom probabilities
-    already computed at each theta, so checks on one model weigh once per theta.
+    atoms ascend.  A cell is an (atom, multiset class) pair that some outcome
+    takes: atom, cls and mult hold each cell's atom index, class and number
+    of outcomes, sorted by (atom, class), and starts marks where each atom's
+    cells begin.
     """
 
     atoms: np.ndarray
-    order: np.ndarray
+    atom: np.ndarray
+    cls: np.ndarray
+    mult: np.ndarray
     starts: np.ndarray
-    by_theta: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def spread(self, per_atom: np.ndarray) -> np.ndarray:
-        """Per-atom values placed on every outcome, in outcome order."""
-        out = np.empty(len(self.order))
-        out[self.order] = np.repeat(per_atom, np.diff(self.starts, append=len(self.order)))
-        return out
-
-    def probabilities(self, w: np.ndarray) -> np.ndarray:
-        """Atom probabilities under outcome weights w: one pairwise sum per atom."""
-        return np.add.reduceat(w[self.order], self.starts)
-
-    def probabilities_at(self, dm: DiscreteModel, theta: float) -> np.ndarray:
-        """probabilities(dm.outcome_weights(theta)), computed once per theta.
-
-        Results are kept, read-only, while their total length stays within
-        _CACHED_PROBABILITIES.
-        """
-        p = self.by_theta.get(theta)
-        if p is None:
-            p = self.probabilities(dm.outcome_weights(theta))
-            if (len(self.by_theta) + 1) * len(self.atoms) <= _CACHED_PROBABILITIES:
-                p.setflags(write=False)
-                self.by_theta[theta] = p
-        return p
+    def probabilities(self, q: np.ndarray) -> np.ndarray:
+        """Atom probabilities, one pairwise sum per atom; q weighs one ordering of each class."""
+        return np.add.reduceat(self.mult * q[self.cls], self.starts)
 
 
-def _law(values: np.ndarray) -> _Law:
+def _law(values: np.ndarray, labels: np.ndarray, classes: int) -> _Law:
     """Push the outcomes forward onto the distinct values of a 1-D per-outcome array.
 
-    One stable argsort orders the outcomes by (value, outcome index); a tie
-    of -0.0 and 0.0 keeps the sign of its first outcome.
+    labels holds the multiset class of every outcome, one of classes.  One
+    stable argsort orders the outcomes by (value, outcome index); a tie of
+    -0.0 and 0.0 keeps the sign of its first outcome.  The cells are the
+    distinct keys atom * classes + label, sorted in place.
     """
     order = np.argsort(values, kind="stable")
     ranked = values[order]
-    starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
-    return _Law(ranked[starts], order, starts)
+    new = np.concatenate(([True], ranked[1:] != ranked[:-1]))
+    atoms = ranked[new]
+    del ranked
+    keys = np.cumsum(new, dtype=np.int64)
+    keys -= 1
+    keys *= classes
+    keys += labels[order]
+    del order
+    keys.sort()
+    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    mult = np.diff(first, append=len(keys))
+    atom, cls = np.divmod(keys[first], classes)
+    starts = np.flatnonzero(np.concatenate(([True], atom[1:] != atom[:-1])))
+    return _Law(atoms, atom, cls, mult, starts)
 
 
 def _expect(p: np.ndarray, values) -> float:
@@ -256,10 +245,10 @@ def _estimate_law(dm: DiscreteModel, g: Generator, e: Estimator, label: str):
     e.fn runs and the domain is checked on every call.  The model keeps a
     read-only copy of the values of its last call, and their law; values
     byte-identical to those (compared as int64, so -0.0 and 0.0 or two NaN
-    payloads never match) reuse that law, and its atom probabilities,
-    instead of sorting again, which saves the battery about a third of its
-    time.  The kept copy is what is returned, so an
-    estimator that later overwrites its own output cannot change it.
+    payloads never match) reuse that law instead of sorting again; the
+    battery takes 1.83-1.87 times as long without (module docstring).  The
+    kept copy is what is returned, so an estimator that later overwrites
+    its own output cannot change it.
     """
     require_dimension(g, 1)
     values = _estimates(dm, e)
@@ -267,7 +256,8 @@ def _estimate_law(dm: DiscreteModel, g: Generator, e: Estimator, label: str):
     last = dm.__dict__.get("_last_law")
     if last is not None and np.array_equal(last[0].view(np.int64), values.view(np.int64)):
         return last
-    law = _law(values)
+    labels, counts, _ = _multiset_classes(dm.m, dm.n)
+    law = _law(values, labels, len(counts))
     values = values.copy()
     values.setflags(write=False)
     dm.__dict__["_last_law"] = values, law
@@ -302,29 +292,21 @@ def _multiset_classes(m: int, n: int):
     return labels, counts, reps
 
 
-def _condition(g: Generator, duals: np.ndarray, labels: np.ndarray, counts: np.ndarray):
-    """(grad phi)^-1 of the mean dual value in each cell of a partition of the outcomes.
-
-    duals holds grad phi of the estimate on every outcome, labels the cell of
-    every outcome and counts the size of every cell.  The outcomes of a cell
-    must be equally likely, as the orderings of one multiset are, so the
-    plain mean is the conditional expectation; each cell is inverted once.
-    """
-    return np.asarray(g.invert_gradient(np.bincount(labels, weights=duals) / counts), dtype=float)
-
-
 def _rb_table(dm: DiscreteModel, g: Generator, e: Estimator):
-    """e on every outcome, its law and atoms, and the Rao-Blackwell value of every multiset class.
+    """The law of e's values, its atoms and the Rao-Blackwell value of every multiset class.
 
-    Returns (values, law, base, cls, rb): values and law as _estimate_law
-    gives them, base the atoms as _Points, cls the multiset class of every
-    outcome and rb the conditioned value of every class, so rb[cls] is the
-    Rao-Blackwell estimate on every outcome.  grad phi is taken once per atom.
+    Returns (law, base, rb): law as _estimate_law gives it, base its atoms as
+    _Points and rb the conditioned value of every class, so rb[labels] is
+    the Rao-Blackwell estimate on every outcome.  The orderings of a class
+    are equally likely, so the plain mean of grad phi over the class's
+    outcomes, summed over its cells, is the conditional expectation; grad
+    phi is taken once per atom and each class is inverted once.
     """
-    values, law = _estimate_law(dm, g, e, "x")
+    law = _estimate_law(dm, g, e, "x")[1]
     base = _Points(g, law.atoms)
-    cls, counts, _ = _multiset_classes(dm.m, dm.n)
-    return values, law, base, cls, _condition(g, law.spread(base.grad), cls, counts)
+    counts = _multiset_classes(dm.m, dm.n)[1]
+    means = np.bincount(law.cls, weights=law.mult * base.grad[law.atom]) / counts
+    return law, base, np.asarray(g.invert_gradient(means), dtype=float)
 
 
 def exact_rao_blackwell(dm: DiscreteModel, g: Generator, e: Estimator) -> Estimator:
@@ -341,8 +323,8 @@ def exact_rao_blackwell(dm: DiscreteModel, g: Generator, e: Estimator) -> Estima
     dm.n drawn from dm.support; any other value raises DomainError.
     """
     m, n = dm.m, dm.n
-    *_, cls, rb = _rb_table(dm, g, e)
-    table = rb[cls]
+    rb = _rb_table(dm, g, e)[2]
+    table = rb[_multiset_classes(m, n)[0]]
     place = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
     support = np.asarray(dm.support)
 
@@ -392,23 +374,24 @@ def verify_rb_inequality(dm: DiscreteModel, g: Generator, e: Estimator, theta_gr
 
     e.fn runs once.  rb_classes is the class table that exact_rao_blackwell's
     estimator reads.  The risk of e is summed over the law of its values, that
-    of rb over the multiset classes, with phi and grad phi taken once per atom
-    or class for every theta.
+    of rb over the multiset classes, both weighed by the probability q of one
+    ordering of each class, with phi and grad phi taken once per atom or
+    class for every theta.  e is invariant when every cell's class value
+    matches its atom.
     """
     grid = _grid(theta_grid)
-    values, law, base, cls, rb_classes = _rb_table(dm, g, e)
+    law, base, rb_classes = _rb_table(dm, g, e)
     _, counts, reps = _multiset_classes(dm.m, dm.n)
     scale = 1.0 + float(np.max(np.abs(law.atoms)))
-    moved = rb_classes[cls]
-    moved -= values
-    invariant = bool(np.max(np.abs(moved, out=moved)) <= _INVARIANCE_TOL * scale)
+    moved = np.max(np.abs(rb_classes[law.cls] - law.atoms[law.atom]))
+    invariant = bool(moved <= _INVARIANCE_TOL * scale)
     rb = _Points(g, rb_classes)
     rows = []
     for theta in grid:
         t = _Points(g, theta)
-        risk_base = _expect(law.probabilities_at(dm, theta), _loss(g, "left", base, t))
-        classes = counts * np.prod(dm.pmf(theta)[reps], axis=1)
-        risk_rb = _expect(classes, _loss(g, "left", rb, t))
+        q = np.prod(dm.pmf(theta)[reps], axis=1)
+        risk_base = _expect(law.probabilities(q), _loss(g, "left", base, t))
+        risk_rb = _expect(counts * q, _loss(g, "left", rb, t))
         rows.append(RBRow(theta, risk_base, risk_rb, risk_base - risk_rb))
     min_gap = min(r.gap for r in rows)
     return RBInequalityReport(
@@ -465,10 +448,11 @@ def verify_decompositions_grid(
     """
     grid = _grid(theta_grid)
     law = _estimate_law(dm, g, e, "estimate")[1]
+    reps = _multiset_classes(dm.m, dm.n)[2]
     est = _Points(g, law.atoms)
     checks = []
     for theta in grid:
-        p = law.probabilities_at(dm, theta)
+        p = law.probabilities(np.prod(dm.pmf(theta)[reps], axis=1))
         t = _Points(g, theta)
         parts = []  # risk, bias, variance, center and residual, left then right
         passed = True

@@ -65,6 +65,29 @@ def outcome_index(m: int, n: int) -> np.ndarray:
     return np.stack(grids, axis=-1).reshape(-1, n)
 
 
+def outcome_law(values: np.ndarray, w: np.ndarray):
+    """Atoms of values and their probabilities summed over outcome weights w.
+
+    Each atom's probability is the pairwise sum of its outcomes' weights in
+    stable argsort order, the outcome-indexed reference for _law.
+    """
+    order = np.argsort(values, kind="stable")
+    ranked = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+    return ranked[starts], np.add.reduceat(w[order], starts)
+
+
+def class_law(dm: DiscreteModel, values: np.ndarray):
+    """_law of per-outcome values on dm's multiset classes."""
+    labels, counts, _ = _multiset_classes(dm.m, dm.n)
+    return _law(np.asarray(values, dtype=float), labels, len(counts))
+
+
+def orderings(dm: DiscreteModel, theta: float) -> np.ndarray:
+    """Probability of one ordering of each multiset class of dm at theta."""
+    return np.prod(dm.pmf(theta)[_multiset_classes(dm.m, dm.n)[2]], axis=1)
+
+
 def sorted_row_classes(m: int, n: int):
     """Reference multiset labels and sizes: np.unique of sorted outcome rows.
 
@@ -119,6 +142,12 @@ class TestDiscreteModel:
             DiscreteModel((1.0, 2.0), 0)
         with pytest.raises(ConfigError):
             DiscreteModel((1.0, 2.0), 2.5)
+
+    def test_bool_n_is_refused(self):
+        # bool is an int subclass; True must not pass for n = 1
+        for flag in (True, False):
+            with pytest.raises(ConfigError, match=rf"^n must be a positive int, got {flag}$"):
+                DiscreteModel((1.0, 2.0), flag)
 
     def test_budget(self):
         with pytest.raises(BudgetError):
@@ -355,9 +384,10 @@ class TestComputeOnce:
     @pytest.mark.parametrize("e", [FIRST, HEAD2, MEAN], ids=lambda e: e.id)
     def test_rb_risk_is_risk_of_returned_estimator(self, g, e):
         # bitwise: the check reads the same class table the estimator returns.
-        # The risk of e is summed over the law of its values; the risk of the
-        # Rao-Blackwell estimate over the multiset classes, read on one
-        # representative each and weighted by class size times p(ordering)
+        # Both risks are weighed by q, the probability of one ordering of each
+        # multiset class: the risk of e over the law of its values, the risk
+        # of the Rao-Blackwell estimate over the classes, read on one
+        # representative each and weighted by class size
         dm = DiscreteModel((0.5, 1.5, 2.5, 4.0), 4)
         rep = verify_rb_inequality(dm, g, e, self.THETAS)
         rb = exact_rao_blackwell(dm, g, e)
@@ -365,18 +395,19 @@ class TestComputeOnce:
         vals = dm.outcome_values
         _, counts, reps = _multiset_classes(dm.m, dm.n)
         on_reps = rb.fn(np.asarray(dm.support)[reps])
+        law = class_law(dm, e.fn(vals))
         for row in rep.rows:
-            classes = counts * np.prod(dm.pmf(row.theta)[reps], axis=1)
-            assert row.risk_rb == _expect(classes, bregman_div(g, row.theta, on_reps))
-            w = dm.outcome_weights(row.theta)
-            law = _law(np.asarray(e.fn(vals), dtype=float))
-            ref = _expect(law.probabilities(w), bregman_div(g, row.theta, law.atoms))
+            q = np.prod(dm.pmf(row.theta)[reps], axis=1)
+            assert row.risk_rb == _expect(counts * q, bregman_div(g, row.theta, on_reps))
+            ref = _expect(law.probabilities(q), bregman_div(g, row.theta, law.atoms))
             assert row.risk_estimator == ref
-            # the sum over the law of rb's values on every outcome rounds
-            # otherwise: 3.6e-16 relative at worst over these 45 rows
-            law = _law(np.asarray(rb.fn(vals), dtype=float))
-            by_outcome = _expect(law.probabilities(w), bregman_div(g, row.theta, law.atoms))
-            assert abs(row.risk_rb - by_outcome) <= 1e-15 * abs(by_outcome)
+            # the sums over the outcome weights round otherwise: 2.7e-16
+            # relative at worst for e and 3.6e-16 for rb over these 45 rows
+            w = dm.outcome_weights(row.theta)
+            for risk, fn in ((row.risk_estimator, e.fn), (row.risk_rb, rb.fn)):
+                atoms, p = outcome_law(np.asarray(fn(vals), dtype=float), w)
+                by_outcome = _expect(p, bregman_div(g, row.theta, atoms))
+                assert abs(risk - by_outcome) <= 1e-15 * abs(by_outcome)
 
     def test_theta_errors_unchanged(self):
         dm = DiscreteModel((1.0, 2.0), 2)
@@ -416,9 +447,9 @@ def count_laws(monkeypatch):
     calls = []
     original = discrete_oracle._law
 
-    def counted(values):
+    def counted(values, *classes):
         calls.append(len(values))
-        return original(values)
+        return original(values, *classes)
 
     monkeypatch.setattr(discrete_oracle, "_law", counted)
     return calls
@@ -544,7 +575,8 @@ class TestComputeOnceAcrossCalls:
         for theta in self.THETAS:
             verify_decompositions(dm, g, e, theta)
         assert laws == [81]
-        assert sorted(weighed) == sorted(self.THETAS)
+        # every expectation is weighed through the multiset classes
+        assert weighed == []
 
     def test_reused_law_still_checks_domain(self, monkeypatch):
         laws = count_laws(monkeypatch)
@@ -604,10 +636,15 @@ class TestLaw:
         vals = dm.outcome_values
         w = dm.outcome_weights(theta)
         delta = np.asarray(e.fn(vals), dtype=float)
-        law = _law(delta)
-        p = law.probabilities(w)
+        law = class_law(dm, delta)
+        p = law.probabilities(orderings(dm, theta))
         assert np.array_equal(law.atoms, np.unique(delta))
-        assert np.array_equal(law.order, np.argsort(delta, kind="stable"))
+        # the cells are the distinct (atom, class) pairs of the outcomes
+        labels, counts, _ = _multiset_classes(dm.m, n)
+        keys = np.searchsorted(law.atoms, delta) * len(counts) + labels
+        cells, mult = np.unique(keys, return_counts=True)
+        assert np.array_equal(law.atom * len(counts) + law.cls, cells)
+        assert np.array_equal(law.mult, mult)
         for f in (lambda x: x, g.gradient, g.value, lambda x: bregman_div(g, theta, x)):
             assert_enumerated(_expect(p, f(law.atoms)), w, f(delta))
 
@@ -641,24 +678,33 @@ class TestLaw:
         ids=["runs", "no-runs", "one"],
     )
     def test_law_is_stable_argsort_grouping(self, values):
-        law = _law(values)
+        law = _law(values, np.zeros(len(values), dtype=np.int64), 1)
         order = np.argsort(values, kind="stable")
         ranked = values[order]
         starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
-        assert np.array_equal(law.order, order) and np.array_equal(law.starts, starts)
+        assert np.array_equal(law.atoms, ranked[starts])
+        # with one class the cells are the atoms, each holding its run of outcomes
+        cells = np.arange(len(starts))
+        assert np.array_equal(law.atom, cells) and np.array_equal(law.starts, cells)
+        assert not np.any(law.cls)
+        assert np.array_equal(law.mult, np.diff(starts, append=len(values)))
         # a -0.0 / 0.0 tie keeps the sign of its first outcome
         assert np.array_equal(np.signbit(law.atoms), np.signbit(ranked[starts]))
 
     @pytest.mark.parametrize("e", [FIRST, MEAN, resolve_estimator("const:2", SPEC_MODEL)],
                              ids=lambda e: e.id)
     def test_probabilities_are_pairwise_sums(self, e):
-        # 10^5 outcomes: summed one after another, an atom's probability would
-        # drift by about 1e-13 relative; pairwise sums stay within a few eps
+        # 10^5 outcomes in 2002 classes: an atom's probability is a pairwise
+        # sum over its cells, within a few eps of the exact sum of its
+        # outcomes' weights
         dm = DiscreteModel(tuple(0.5 * i for i in range(1, 11)), 5)
         w = dm.outcome_weights(0.7)
-        law = _law(np.asarray(e.fn(dm.outcome_values), dtype=float))
-        p = law.probabilities(w)
-        segments = np.split(w[law.order], law.starts[1:])
+        delta = np.asarray(e.fn(dm.outcome_values), dtype=float)
+        p = class_law(dm, delta).probabilities(orderings(dm, 0.7))
+        order = np.argsort(delta, kind="stable")
+        ranked = delta[order]
+        starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+        segments = np.split(w[order], starts[1:])
         exact = np.array([math.fsum(seg) for seg in segments])
         assert np.all(np.abs(p - exact) <= 4 * EPS * exact)
 
@@ -698,6 +744,42 @@ class TestLaw:
         verify_rb_inequality(dm, counted, FIRST, (0.5, 1.0, 2.0))
         for points in counted.points.values():
             assert atoms < points <= atoms + classes
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(min_value=1, max_value=5),
+        n=st.integers(min_value=1, max_value=5),
+        pool=st.lists(
+            st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0, 3.0]), min_size=1, max_size=6
+        ),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_cells_partition_outcomes_by_atom_and_class(self, m, n, pool, seed):
+        labels, counts, _ = _multiset_classes(m, n)
+        values = np.asarray(pool)[np.random.default_rng(seed).integers(len(pool), size=m**n)]
+        law = _law(values, labels, len(counts))
+        # summed per class, the cells' outcome counts give the class sizes;
+        # summed per atom, the atom's outcome count
+        npt.assert_array_equal(np.bincount(law.cls, weights=law.mult), counts)
+        _, per_atom = np.unique(values, return_counts=True)
+        npt.assert_array_equal(np.add.reduceat(law.mult, law.starts), per_atom)
+        assert np.all(law.mult >= 1)
+        # cells strictly ascend by (atom, class), and starts marks each atom's first cell
+        keys = law.atom * len(counts) + law.cls
+        assert np.all(np.diff(keys) > 0)
+        runs = np.diff(law.starts, append=len(keys))
+        npt.assert_array_equal(law.atom, np.repeat(np.arange(len(law.atoms)), runs))
+
+    def test_law_at_the_outcome_budget(self):
+        # 10^6 outcomes in 5005 classes, each outcome its own atom: the cell
+        # keys reach 5e9, past int32
+        dm = DiscreteModel(tuple(float(v) for v in range(1, 11)), 6)
+        labels, counts, _ = _multiset_classes(dm.m, dm.n)
+        law = _law(np.arange(dm.outcome_count, dtype=float), labels, len(counts))
+        assert len(law.atoms) == dm.outcome_count and np.all(law.mult == 1)
+        npt.assert_array_equal(law.cls, labels)
+        p = law.probabilities(orderings(dm, 0.7))
+        assert abs(math.fsum(p) - 1.0) <= 4 * dm.n * EPS
 
     def test_multiset_classes_cached_read_only(self):
         labels, counts, reps = _multiset_classes(3, 4)
@@ -751,7 +833,7 @@ class TestDecompositions:
         law = discrete_oracle._estimate_law(dm, g, e, "estimate")[1]
         for theta in (0.5, 1.0, 2.0):
             chk = verify_decompositions(dm, g, e, theta)
-            p = law.probabilities_at(dm, theta)
+            p = law.probabilities(orderings(dm, theta))
             for side, fn in (("left", decompose_left), ("right", decompose_right)):
                 rep = fn(g, theta, law.atoms, p)
                 assert rep.orientation == side
