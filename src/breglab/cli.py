@@ -73,8 +73,8 @@ def _floats(value) -> str:
 
 
 def _int(value) -> int:
-    """int(value), refusing a bool and a float it would have to truncate."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """int(value), refusing a float it would have to truncate."""
+    if isinstance(value, float) and not value.is_integer():
         raise ValueError(value)
     return int(value)
 
@@ -107,6 +107,8 @@ def _parse(key: str, parse, value):
             return value
         raise ConfigError(f"--{key} must be one of {', '.join(parse)}, got {value!r}")
     try:
+        if isinstance(value, bool):  # no option is a switch, so a JSON true is malformed
+            raise ValueError(value)
         return parse(value)
     except (ValueError, TypeError):
         raise ConfigError(f"--{key} got the malformed value {value!r}") from None
@@ -258,9 +260,9 @@ def cmd_compare(cfg: dict):
     model = resolve_model(cfg["model"])
     g = resolve_generator(cfg["gen"], dim=1)
     e1 = resolve_estimator(cfg["e1"], model, g)
-    # one spec in both arms is one estimator: resolving it twice would give
-    # two distinct objects under one id
-    e2 = e1 if cfg["e2"] == cfg["e1"] else resolve_estimator(cfg["e2"], model, g)
+    e2 = resolve_estimator(cfg["e2"], model, g)
+    # two spellings of one estimator resolve to two distinct objects under one id
+    e2 = e1 if e2.id == e1.id else e2
     report = compare_estimators(
         model, cfg["theta"], cfg["n"], (e1, e2), g, cfg["orientation"],
         cfg["replicates"], cfg["seed"], cfg["workers"],

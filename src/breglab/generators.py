@@ -4,9 +4,11 @@ A generator is a strictly convex, differentiable function phi on an open
 domain.  Everything downstream (divergences, dual estimators, risk
 decompositions) needs four operations from it: the value phi(x), the
 gradient grad phi(x), the inverse gradient (grad phi)^{-1}(y), and the
-convex conjugate phi*(y).  Builtins register closed forms for all four;
-separable generators keep the inverse and conjugate available when closed
-forms are disabled, by bisection over the float64 order (_newton_invert).
+convex conjugate phi*(y).  grad phi maps the domain, an open interval
+(lo, hi) for each of the generator's coordinates, onto the dual domain.
+Builtins register closed forms for all four.  An empty grad_inverse or
+conjugate field of a separable rule means no closed form: the generator
+then bisects over the float64 order (_newton_invert) or derives phi*.
 
 Shape conventions: a generator of dimension d > 1 treats the last axis of an
 array as the coordinate axis.  A generator of dimension 1 is elementwise,
@@ -20,7 +22,7 @@ substitution, so building or inverting one loads no scipy module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,30 +47,17 @@ def _float_scalar(x):
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """Open box domain, one scalar constraint applied to every coordinate."""
+    """The open interval (lo, hi) of every coordinate; the defaults give all reals."""
 
-    dimension: int
-    kind: str = "reals"  # "reals" | "positive" | "interval"
     lo: float = -math.inf
     hi: float = math.inf
 
     def __post_init__(self):
-        if not isinstance(self.dimension, int) or self.dimension < 1:
-            raise ConfigError(f"dimension must be a positive int, got {self.dimension!r}")
-        if self.kind == "reals":
-            object.__setattr__(self, "lo", -math.inf)
-            object.__setattr__(self, "hi", math.inf)
-        elif self.kind == "positive":
-            object.__setattr__(self, "lo", 0.0)
-            object.__setattr__(self, "hi", math.inf)
-        elif self.kind == "interval":
-            if not self.lo < self.hi:
-                raise ConfigError(f"interval needs lo < hi, got ({self.lo}, {self.hi})")
-        else:
-            raise ConfigError(f"unknown domain kind {self.kind!r}")
+        if not self.lo < self.hi:  # false for a nan bound too
+            raise ConfigError(f"interval needs lo < hi, got ({self.lo}, {self.hi})")
 
     def describe(self) -> str:
-        if self.kind == "reals":
+        if self.lo == -math.inf and self.hi == math.inf:
             return "all reals"
         return f"open interval ({self.lo}, {self.hi})"
 
@@ -76,7 +65,7 @@ class DomainSpec:
         """Elementwise membership, False for non-finite entries.
 
         lo and hi are never nan, so the strict comparisons reject nan, and
-        -inf and +inf fail lo < x < hi for every kind.
+        -inf and +inf fail lo < x < hi for every interval.
         """
         return (arr > self.lo) & (arr < self.hi)
 
@@ -97,16 +86,15 @@ class DomainSpec:
 
 
 class Generator:
-    """Base class; concrete generators fill in the four operations."""
+    """Base class: a dimension and two domains; subclasses fill in the four operations."""
 
-    def __init__(self, gen_id: str, domain: DomainSpec, dual_domain: DomainSpec):
+    def __init__(self, gen_id: str, dimension: int, domain: DomainSpec, dual_domain: DomainSpec):
+        if isinstance(dimension, bool) or not isinstance(dimension, int) or dimension < 1:
+            raise ConfigError(f"dimension must be a positive int, got {dimension!r}")
         self.id = gen_id
+        self.dimension = dimension
         self.domain = domain
         self.dual_domain = dual_domain
-
-    @property
-    def dimension(self) -> int:
-        return self.domain.dimension
 
     def _canon(self, x, spec: DomainSpec, label: str, error=DomainError) -> np.ndarray:
         arr = np.asarray(x, dtype=float)
@@ -169,16 +157,14 @@ class _ScalarRule:
 class SeparableGenerator(Generator):
     """Generator of the form phi(x) = sum_i f(x_i) for a scalar convex f."""
 
-    def __init__(self, gen_id, domain, dual_domain, rule: _ScalarRule, use_closed_forms=True):
-        super().__init__(gen_id, domain, dual_domain)
+    def __init__(self, gen_id, dimension, domain, dual_domain, rule: _ScalarRule):
+        super().__init__(gen_id, dimension, domain, dual_domain)
         self._rule = rule
-        self._use_closed = use_closed_forms
 
     def without_closed_forms(self) -> "SeparableGenerator":
-        """Copy that inverts the gradient numerically and derives the conjugate."""
-        return SeparableGenerator(
-            self.id, self.domain, self.dual_domain, self._rule, use_closed_forms=False
-        )
+        """Copy whose rule has no grad_inverse or conjugate: it bisects and derives phi*."""
+        rule = replace(self._rule, grad_inverse=None, conjugate=None)
+        return SeparableGenerator(self.id, self.dimension, self.domain, self.dual_domain, rule)
 
     def value(self, x):
         arr = self._canon(x, self.domain, "x")
@@ -190,7 +176,7 @@ class SeparableGenerator(Generator):
 
     def invert_gradient(self, y):
         arr = self._canon(y, self.dual_domain, "dual point", RangeError)
-        if self._use_closed and self._rule.grad_inverse is not None:
+        if self._rule.grad_inverse is not None:
             out = np.asarray(self._rule.grad_inverse(arr), dtype=float)
         else:
             out = _newton_invert(self._rule, self.domain, arr)
@@ -200,7 +186,7 @@ class SeparableGenerator(Generator):
 
     def conjugate(self, y):
         arr = self._canon(y, self.dual_domain, "dual point", RangeError)
-        if self._use_closed and self._rule.conjugate is not None:
+        if self._rule.conjugate is not None:
             return _ensure_finite(self._reduce(self._rule.conjugate(arr)), "conjugate")
         x = self.invert_gradient(arr)
         return _ensure_finite(self._reduce(arr * x) - self.value(x), "conjugate")
@@ -230,7 +216,7 @@ class QuadraticGenerator(Generator):
             chol = np.linalg.cholesky(a)
         except np.linalg.LinAlgError as exc:
             raise ConfigError(f"matrix is not positive definite: {exc}") from None
-        super().__init__("mahalanobis", DomainSpec(d), DomainSpec(d))
+        super().__init__("mahalanobis", d, DomainSpec(), DomainSpec())
         self.matrix = a
         self._chol = chol
         self._rdiag = 1.0 / np.diag(chol)
@@ -346,7 +332,7 @@ def squared_euclidean(dim: int = 1) -> SeparableGenerator:
         grad_inverse=lambda t: t,
         conjugate=lambda t: 0.5 * t * t,
     )
-    return SeparableGenerator("sqeuclid", DomainSpec(dim), DomainSpec(dim), rule)
+    return SeparableGenerator("sqeuclid", dim, DomainSpec(), DomainSpec(), rule)
 
 
 def negative_entropy(dim: int = 1) -> SeparableGenerator:
@@ -357,9 +343,7 @@ def negative_entropy(dim: int = 1) -> SeparableGenerator:
         grad_inverse=np.exp,
         conjugate=np.exp,
     )
-    return SeparableGenerator(
-        "negentropy", DomainSpec(dim, "positive"), DomainSpec(dim), rule
-    )
+    return SeparableGenerator("negentropy", dim, DomainSpec(lo=0.0), DomainSpec(), rule)
 
 
 def negative_log(dim: int = 1) -> SeparableGenerator:
@@ -370,8 +354,7 @@ def negative_log(dim: int = 1) -> SeparableGenerator:
         grad_inverse=lambda t: -1.0 / t,
         conjugate=lambda t: -1.0 - np.log(-t),
     )
-    dual = DomainSpec(dim, "interval", -math.inf, 0.0)
-    return SeparableGenerator("neglog", DomainSpec(dim, "positive"), dual, rule)
+    return SeparableGenerator("neglog", dim, DomainSpec(lo=0.0), DomainSpec(hi=0.0), rule)
 
 
 def mahalanobis(matrix) -> QuadraticGenerator:

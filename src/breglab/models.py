@@ -141,7 +141,7 @@ class ExponentialModel(Model):
     family = "exp"
 
     def __init__(self):
-        super().__init__("exp", DomainSpec(1, "positive"), DomainSpec(1, "positive"))
+        super().__init__("exp", DomainSpec(lo=0.0), DomainSpec(lo=0.0))
 
     def _transform(self, u, theta):
         # inverse CDF: F^{-1}(u) = -theta * log(1 - u)
@@ -159,7 +159,7 @@ class NormalModel(Model):
     def __init__(self, sigma2: float = 1.0):
         if not (np.isfinite(sigma2) and sigma2 > 0):
             raise ConfigError(f"sigma2 must be positive and finite, got {sigma2}")
-        super().__init__(f"normal(sigma2={sigma2:g})", DomainSpec(1), DomainSpec(1))
+        super().__init__(f"normal(sigma2={sigma2:g})", DomainSpec(), DomainSpec())
         self.sigma2 = float(sigma2)
         self._sigma = float(np.sqrt(sigma2))
 
@@ -182,7 +182,7 @@ class LogNormalModel(Model):
         if not (np.isfinite(sigma2) and sigma2 > 0):
             raise ConfigError(f"sigma2 must be positive and finite, got {sigma2}")
         super().__init__(
-            f"lognormal(sigma2={sigma2:g})", DomainSpec(1, "positive"), DomainSpec(1, "positive")
+            f"lognormal(sigma2={sigma2:g})", DomainSpec(lo=0.0), DomainSpec(lo=0.0)
         )
         self.sigma2 = float(sigma2)
         self._sigma = float(np.sqrt(sigma2))

@@ -75,7 +75,7 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
 
 
 def _interior(g, rng, count):
-    if g.domain.kind == "positive":
+    if g.domain.lo == 0.0:
         return rng.uniform(0.1, 8.0, (count, g.dimension))
     return rng.normal(0.0, 2.0, (count, g.dimension))
 

@@ -3,8 +3,12 @@
 It also counts the closed-form-free decomposition checks whose residual
 exceeds 1e-12; with an exact numeric inverse gradient that count is 0, and a
 regression of the inverse shows here.
+
+bench/spans.py wraps src/ names by string; a traced oracle run checks that
+the counters of the wrapped names still move.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -23,3 +27,32 @@ def test_bench_selftest_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "self-test passed" in proc.stdout
     assert "note: 0 of 54 closed-form-free decomposition checks" in proc.stdout
+
+
+# Counters of bench/spans.py that a traced oracle_battery run must move; a
+# renamed or bypassed src/ name leaves its counter at 0 while the run stays correct.
+ORACLE_COUNTERS = [
+    "generators.newton_points.negentropy",
+    "generators.newton_points.neglog",
+    "generators.invert_points",
+    "generators.gradient_points",
+    "estimators.estimate_rows",
+    "discrete_oracle.outcomes",
+    "discrete_oracle.expectations",
+]
+
+
+def test_traced_oracle_battery_moves_every_span_counter():
+    proc = subprocess.run(
+        [sys.executable, os.path.join("bench", "run.py"), "--workload", "oracle_battery",
+         "--seed", "3", "--seconds", "0", "--trace", "1"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    metrics = result["metrics"]
+    assert [name for name in ORACLE_COUNTERS if not metrics[name]["value"] > 0] == []

@@ -510,6 +510,19 @@ class TestCompareCommand:
         (report,) = json.loads(path.read_text())["reports"]
         assert report["risk_diff"] == 0.0 and report["se_diff"] == 0.0
 
+    @pytest.mark.parametrize(
+        "e1, e2", [("first-k:2", "first-k:02"), ("const:1", "const:1.0")], ids=["first-k", "const"]
+    )
+    def test_two_spellings_of_one_estimator_tie_exactly(self, capsys, tmp_path, e1, e2):
+        path = tmp_path / "cmp.json"
+        code, _, err = run(
+            capsys, "compare", "--model", "exp", "--gen", "neglog", "--e1", e1, "--e2", e2,
+            "--theta", "2", "--n", "5", "-M", "1000", "--out", str(path),
+        )
+        assert code == 0, err
+        (report,) = json.loads(path.read_text())["reports"]
+        assert report["risk_diff"] == 0.0 and report["se_diff"] == 0.0
+
     def test_constants_equal_to_six_digits_keep_distinct_ids(self, capsys, tmp_path):
         path = tmp_path / "cmp.json"
         code, _, err = run(
@@ -885,6 +898,16 @@ USAGE_ERRORS = {
         ["divergence", "--gen", "mahalanobis:bad.mat", "--x", "1,2", "--y", "2,3"],
         "is malformed",
     ),
+    "risk-theta-true-in-config": (
+        ["risk", "--config", "theta-true.json", "--model", "exp", "--gen", "neglog",
+         "--estimator", "classical", "--n", "5", "-M", "1000"],
+        "--theta got the malformed value True",
+    ),
+    "compare-theta-true-in-config": (
+        ["compare", "--config", "theta-true.json", "--model", "exp", "--gen", "neglog",
+         "--e1", "classical", "--e2", "first-k:2", "--n", "5", "-M", "1000"],
+        "--theta got the malformed value True",
+    ),
     "normal-negative-variance": (
         ["risk", "--model", "normal:-1", "--gen", "sqeuclid", "--estimator", "mean",
          "--theta", "1", "--n", "3", "-M", "1000"],
@@ -898,6 +921,7 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch, name):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "right.json").write_text('{"orientation": "right"}')
+    (tmp_path / "theta-true.json").write_text('{"theta": true}')
     (tmp_path / "empty.mat").write_text("")
     (tmp_path / "bad.mat").write_text("2\n1 x\n0 1\n")
     argv, message = USAGE_ERRORS[name]

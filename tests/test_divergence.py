@@ -27,7 +27,7 @@ GENERATORS = [squared_euclidean(2), mahalanobis(A2), negative_entropy(2), negati
 
 
 def random_pair(g, rng, count):
-    if g.domain.kind == "positive":
+    if g.domain.lo == 0.0:
         return rng.uniform(0.1, 8.0, (count, 2)), rng.uniform(0.1, 8.0, (count, 2))
     return rng.normal(0.0, 2.0, (count, 2)), rng.normal(0.0, 2.0, (count, 2))
 
@@ -85,7 +85,7 @@ class TestDivergenceProperties:
         # A deliberately invalid "generator" whose divergence is far below
         # zero must fail loudly rather than be clamped.
         rule = _ScalarRule(value=np.sin, grad=np.cos)
-        fake = SeparableGenerator("sine", DomainSpec(1), DomainSpec(1, "interval", -1.0, 1.0), rule)
+        fake = SeparableGenerator("sine", 1, DomainSpec(), DomainSpec(-1.0, 1.0), rule)
         with pytest.raises(NumericError):
             bregman_div(fake, 3.0, 0.0)
 

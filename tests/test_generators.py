@@ -23,6 +23,7 @@ from breglab import (
     resolve_generator,
     squared_euclidean,
 )
+from breglab import generators
 
 A2 = np.array([[2.0, 0.5], [0.5, 1.0]])
 EPS = np.finfo(float).eps
@@ -35,7 +36,7 @@ def spd(entries, d, ridge):
 
 
 def interior_points(g, rng, count, dim):
-    if g.domain.kind == "positive":
+    if g.domain.lo == 0.0:
         return rng.uniform(0.1, 10.0, (count, dim))
     return rng.normal(0.0, 2.0, (count, dim))
 
@@ -59,27 +60,54 @@ def all_generators(dim=2):
 
 class TestDomainSpec:
     def test_kinds(self):
-        assert DomainSpec(1).contains(-5.0)
-        assert DomainSpec(1, "positive").contains(1e-12)
-        assert not DomainSpec(1, "positive").contains(0.0)
-        spec = DomainSpec(1, "interval", -1.0, 1.0)
+        assert DomainSpec().contains(-5.0)
+        assert DomainSpec(lo=0.0).contains(1e-12)
+        assert not DomainSpec(lo=0.0).contains(0.0)
+        spec = DomainSpec(-1.0, 1.0)
         assert spec.contains(0.0) and not spec.contains(1.0)
 
     def test_nonfinite_rejected(self):
-        assert not DomainSpec(1).contains(np.inf)
-        assert not DomainSpec(1).contains(np.nan)
+        assert not DomainSpec().contains(np.inf)
+        assert not DomainSpec().contains(np.nan)
 
     def test_bad_specs(self):
         with pytest.raises(ConfigError):
-            DomainSpec(0)
+            squared_euclidean(0)
         with pytest.raises(ConfigError):
-            DomainSpec(1, "interval", 2.0, 1.0)
-        with pytest.raises(ConfigError):
-            DomainSpec(1, "half-open")
+            DomainSpec(2.0, 1.0)
 
     def test_check_names_offender(self):
         with pytest.raises(DomainError, match=r"x\[1\] = -3.0"):
-            DomainSpec(3, "positive").check(np.array([1.0, -3.0, 2.0]), "x")
+            DomainSpec(lo=0.0).check(np.array([1.0, -3.0, 2.0]), "x")
+
+    def test_equal_bounds_give_equal_specs(self):
+        assert DomainSpec(lo=0.0) == DomainSpec(0.0, math.inf)
+        assert DomainSpec() == DomainSpec(-math.inf, math.inf)
+
+    def test_given_bounds_are_kept(self):
+        spec = DomainSpec(lo=5.0, hi=6.0)
+        assert (spec.lo, spec.hi) == (5.0, 6.0)
+        assert spec.describe() == "open interval (5.0, 6.0)"
+        assert DomainSpec(hi=0.0).describe() == "open interval (-inf, 0.0)"
+        assert DomainSpec().describe() == "all reals"
+
+    @pytest.mark.parametrize(
+        "lo, hi", [(math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan), (1.0, 1.0)]
+    )
+    def test_nan_or_unordered_bounds_rejected(self, lo, hi):
+        with pytest.raises(ConfigError, match="interval needs lo < hi"):
+            DomainSpec(lo=lo, hi=hi)
+
+
+class TestDimension:
+    def test_bool_dimension_refused(self):
+        with pytest.raises(ConfigError, match="dimension must be a positive int, got True"):
+            squared_euclidean(True)
+
+    def test_dimension_is_stored_on_the_generator(self):
+        g = negative_log(3)
+        assert g.dimension == 3 and repr(g) == "SeparableGenerator(id='neglog', dimension=3)"
+        assert g.domain == DomainSpec(lo=0.0) and g.dual_domain == DomainSpec(hi=0.0)
 
 
 class TestFrozenValues:
@@ -211,6 +239,27 @@ class TestNumericInversion:
         npt.assert_allclose(
             np.asarray(gn.conjugate(y)), np.asarray(g.conjugate(y)), rtol=1e-10, atol=1e-12
         )
+
+    def test_only_the_copy_without_closed_forms_bisects(self, monkeypatch):
+        calls = []
+        bisect = generators._newton_invert
+
+        def counted(rule, domain, y):
+            calls.append(np.size(y))
+            return bisect(rule, domain, y)
+
+        monkeypatch.setattr(generators, "_newton_invert", counted)
+        closed = negative_log(1)
+        closed.invert_gradient(np.array([-2.0, -0.5]))
+        closed.conjugate(-2.0)
+        assert calls == []
+        numeric = closed.without_closed_forms()
+        assert numeric.invert_gradient(-2.0) == 0.5
+        numeric.conjugate(np.array([-2.0, -0.5]))
+        assert calls == [1, 2]
+        # "no closed form" is the rule's empty fields, and the parent keeps its own
+        assert (numeric._rule.grad_inverse, numeric._rule.conjugate) == (None, None)
+        assert closed._rule.grad_inverse is not None and closed._rule.conjugate is not None
 
     def test_mahalanobis_has_no_numeric_path(self):
         with pytest.raises(UnsupportedError):

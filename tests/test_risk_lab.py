@@ -503,7 +503,7 @@ class CountingNegLog(SeparableGenerator):
 
     def __init__(self):
         g = negative_log(1)
-        super().__init__(g.id, g.domain, g.dual_domain, g._rule)
+        super().__init__(g.id, g.dimension, g.domain, g.dual_domain, g._rule)
         self.points = {"value": 0, "gradient": 0}
 
     def _count(self, name, x):
