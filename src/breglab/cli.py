@@ -202,7 +202,7 @@ def _verdict_word(v: bool) -> str:
 
 
 def cmd_check(cfg: dict):
-    from .estimators import resolve_estimator
+    from .estimators import _resolve
     from .generators import resolve_generator
     from .models import resolve_model
     from .risk_lab import lehmann_grid_check
@@ -213,11 +213,16 @@ def cmd_check(cfg: dict):
         raise ConfigError(
             f"--orientation and --grid apply only to check --kind lehmann, not {kind}"
         )
-    if kind == "type2" and cfg["gen"] and spec.partition(":")[0] not in ("type1", "first-k"):
-        raise ConfigError(f"check --kind type2 reads --gen only for type1 or first-k, not {spec}")
     model = resolve_model(cfg["model"])
     g = resolve_generator(cfg["gen"], dim=1) if cfg["gen"] else None
-    e = resolve_estimator(spec, model, g)
+    e, reads_gen = _resolve(spec, model, g)
+    # type-II is checked under sqeuclid, so there --gen could only select the
+    # estimator's construction
+    if kind == "type2" and g is not None and not reads_gen:
+        raise ConfigError(
+            f"check --kind type2 reads --gen only to build a registered construction;"
+            f" {spec} on model {model.id} builds none with generator {g.id}"
+        )
     run = (cfg["n"], cfg["replicates"], cfg["seed"], cfg["workers"])
     if g is None and kind != "type2":
         raise ConfigError(f"check --kind {kind} needs --gen")
@@ -320,7 +325,7 @@ def cmd_oracle(cfg: dict):
 
 def cmd_reproduce(cfg: dict):
     from .estimators import build_type1_umvue, first_k_estimator
-    from .generators import resolve_generator
+    from .generators import resolve_generator, squared_euclidean
     from .models import ExponentialModel, LogNormalModel
     from .risk_lab import _unbiasedness_checks
 
@@ -342,7 +347,8 @@ def cmd_reproduce(cfg: dict):
 
     # the four verdicts share one pass over the derive_key(seed, 0) stream,
     # exactly the stream check_type1/type2_unbiased would each draw
-    checks = [(e, gen) for e in (e_type1, e_classical) for gen in (g, None)]
+    kinds = (("type1", g), ("type2", squared_euclidean()))
+    checks = [(kind, e, gen) for e in (e_type1, e_classical) for kind, gen in kinds]
     verdicts = _unbiasedness_checks(model, [theta], checks, n, replicates, seed, workers)
     names = ("type1", "type1", "classical", "classical")
     rows = list(zip(names, verdicts, (True, False, False, True)))

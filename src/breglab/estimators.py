@@ -157,16 +157,17 @@ def first_k_estimator(model, g: Generator | None, k: int) -> Estimator:
     k observations.  Deliberately not permutation-invariant, which makes it
     the standard comparator for symmetrization experiments.
     """
+    return _first_k(model, g, k)[0]
+
+
+def _first_k(model, g: Generator | None, k: int) -> tuple[Estimator, bool]:
+    """first_k_estimator(model, g, k), and whether g selected its registered construction."""
     if k < 1:
         raise ConfigError(f"first-k needs k >= 1, got {k}")
-    base = None
-    if g is not None:
-        base = _TYPE1_REGISTRY.get((getattr(model, "family", None), g.id))
+    base = _TYPE1_REGISTRY.get((getattr(model, "family", None), getattr(g, "id", None)))
     if base is not None and k >= base.requires_min_n:
-        fn = lambda x, _f=base.fn: _f(x[..., :k])
-    else:
-        fn = lambda x: _sample_mean(x[..., :k])
-    return Estimator(f"first-k:{k}", fn, requires_min_n=k)
+        return Estimator(f"first-k:{k}", lambda x: base.fn(x[..., :k]), requires_min_n=k), True
+    return Estimator(f"first-k:{k}", lambda x: _sample_mean(x[..., :k]), requires_min_n=k), False
 
 
 def const_estimator(value: float) -> Estimator:
@@ -184,19 +185,29 @@ def resolve_estimator(spec: str, model, g: Generator | None = None) -> Estimator
     Accepted forms: "classical", "mean" (the sample mean), "type1",
     "first-k:<k>", "const:<v>".
     """
+    return _resolve(spec, model, g)[0]
+
+
+def _resolve(spec: str, model, g: Generator | None) -> tuple[Estimator, bool]:
+    """resolve_estimator(spec, model, g), and whether g selected a registered construction.
+
+    Only "type1" and a "first-k:<k>" whose k meets the registered
+    construction's minimum read g; every other estimator is the same with or
+    without it.
+    """
     if spec == "classical":
-        return model.classical_umvue
+        return model.classical_umvue, False
     if spec == "mean":
-        return Estimator("mean", _sample_mean)
+        return Estimator("mean", _sample_mean), False
     if spec == "type1":
         if g is None:
             raise ConfigError("the type1 estimator needs a generator")
-        return build_type1_umvue(model, g)
+        return build_type1_umvue(model, g), True
     kind, colon, arg = spec.partition(":")
     if colon and kind in ("first-k", "const"):
         try:
             value = int(arg) if kind == "first-k" else float(arg)
         except ValueError:
             raise ConfigError(f"bad {kind} spec {spec!r}") from None
-        return first_k_estimator(model, g, value) if kind == "first-k" else const_estimator(value)
+        return _first_k(model, g, value) if kind == "first-k" else (const_estimator(value), False)
     raise ConfigError(f"unknown estimator {spec!r}")

@@ -40,7 +40,7 @@ from .divergence import BregmanInfo, _loss, _merged_mean, _Points
 from .divergence import bregman_div  # noqa: F401  uncalled; bench/spans.py wraps this name
 from .errors import ConfigError, NumericError
 from .estimators import Estimator
-from .generators import Generator, require_dimension
+from .generators import Generator, require_dimension, squared_euclidean
 from .models import CHUNK_ROWS, Model, map_chunks
 from .prng import derive_key, pairwise_sum
 
@@ -133,15 +133,14 @@ class ComparisonReport:
 
 
 def _check_setup(
-    model: Model, theta, n: int, estimators, g: Generator | None, replicates: int,
+    model: Model, theta, n: int, estimators, g: Generator, replicates: int,
     orientation: str = "left",
 ):
     if orientation not in ORIENTATIONS:
         raise ConfigError(f"orientation must be one of {ORIENTATIONS}, got {orientation!r}")
     theta = model._check_theta(theta)
-    if g is not None:
-        require_dimension(g, 1)
-        g.domain.check(np.asarray(theta), "theta")
+    require_dimension(g, 1)
+    g.domain.check(np.asarray(theta), "theta")
     if int(replicates) < MIN_REPLICATES:
         raise ConfigError(f"replicates must be >= {MIN_REPLICATES}, got {replicates}")
     if int(n) < 1:
@@ -162,6 +161,9 @@ class Moments:
     M3 and M4 cost two more passes over the values and only the excess
     kurtosis reads them, so they are computed on request and are NaN
     otherwise; count, mean and M2 do not depend on them.
+    An M2 of 0 for values that differ, whose squared spread underflows
+    (below about 1e-162), is a NumericError: its se of 0 would turn into a
+    verdict.  A constant set keeps its exact M2 of 0.
     """
 
     k: int = 0
@@ -183,6 +185,8 @@ class Moments:
         d -= shift
         d2 = d * d
         m2 = float(np.sum(d2))
+        if m2 == 0.0 and np.any(d):
+            raise NumericError("the spread of the values underflows: M2 is 0 while they differ")
         m3 = m4 = math.nan
         if higher:
             # in place: the products are the same, with one array less alive
@@ -211,6 +215,8 @@ class Moments:
                 + 6.0 * d * d * (na * na * other.m2 + nb * nb * self.m2) / nt**2
                 + 4.0 * d * (na * other.m3 - nb * self.m3) / nt
             )
+        if m2 == 0.0 and d != 0.0:
+            raise NumericError("the spread of the values underflows: M2 is 0 while they differ")
         mean = _merged_mean(self.k, self.mean, other.k, other.mean)
         return Moments(self.k + other.k, mean, float(m2), float(m3), float(m4))
 
@@ -308,7 +314,8 @@ def _finalize(model: Model, theta: float, n: int, replicates: int, seed: int, *s
     needs at least two of those; it is flagged invalid when more than 0.1
     percent were dropped.  A mean or se that is not finite, because the
     values overflow double precision, is a NumericError: it never gets a
-    verdict.
+    verdict.  So is an se of 0 from a subnormal M2 > 0, which M2 / (k - 1)
+    takes below the least float.
     """
     kept = stats[0].k
     if kept < 2:
@@ -316,6 +323,8 @@ def _finalize(model: Model, theta: float, n: int, replicates: int, seed: int, *s
     for m in stats:
         if not (math.isfinite(m.mean) and math.isfinite(m.se)):
             raise NumericError(f"mean {m.mean} or its standard error {m.se} is not finite")
+        if m.se == 0.0 and m.m2 != 0.0:
+            raise NumericError(f"the standard error of M2 = {m.m2} underflows to 0")
     dropped = int(replicates) - kept
     return {
         "model_id": model.id,
@@ -389,44 +398,38 @@ def _unbiasedness_checks(
 ) -> list[UnbiasednessReport]:
     """Unbiasedness reports for several checks that share each grid point's stream.
 
-    checks holds (estimator, g) pairs.  With a generator the check is type-I:
+    checks holds (kind, estimator, g) triples, each the type-I check of g:
     the mean of grad phi over in-domain estimates against grad phi(theta).
-    Without one (g is None) it is type-II: the mean finite estimate against
-    theta.  Grid point i draws the stream keyed by derive_key(seed, i) once
-    for all checks; reports come grid point by grid point, in the order of
-    checks.  An empty grid is a ConfigError.
+    Type-II, E delta = theta, is the type-I check of squared_euclidean(),
+    reported as kind "type2" with no generator.  Grid point i draws the
+    stream keyed by derive_key(seed, i) once for all checks; reports come
+    grid point by grid point, in the order of checks.  An empty grid is a
+    ConfigError.
     """
     theta_grid = [float(theta) for theta in theta_grid]
     if not theta_grid:
         raise ConfigError("the theta grid must not be empty")
-    estimators = [e for e, _ in checks]
+    estimators = [e for _, e, _ in checks]
 
     def reduce(est):
-        parts = []
-        for e, g in checks:
-            vals = est[e.id]
-            if g is None:
-                parts.append(Moments.of(_kept(vals, np.isfinite(vals))))
-            else:
-                parts.append(Moments.of(g.gradient(_kept(vals, g.domain.mask(vals)))))
-        return parts
+        return [Moments.of(g.gradient(_in_domain(g, est[e.id]))) for _, e, g in checks]
 
     reports = []
     for i, theta in enumerate(theta_grid):
-        for e, g in checks:
+        for _, e, g in checks:
             theta = _check_setup(model, theta, n, [e], g, replicates)
         parts = _stream(
             model, theta, n, estimators, replicates, derive_key(seed, i), workers, reduce
         )
-        for (e, g), m in zip(checks, parts):
+        for (kind, e, g), m in zip(checks, parts):
             common = _finalize(model, theta, n, replicates, seed, m)
-            target = theta if g is None else float(g.gradient(theta))
+            target = float(g.gradient(theta))
             z = _z_score(m.mean, target, m.se)
             reports.append(
                 UnbiasednessReport(
                     **common,
-                    kind="type2" if g is None else "type1",
-                    generator_id="" if g is None else g.id,
+                    kind=kind,
+                    generator_id="" if kind == "type2" else g.id,
                     estimator_id=e.id,
                     mean=m.mean,
                     target=target,
@@ -453,7 +456,7 @@ def check_type1_unbiased(
     Verdict is PASS when |z| <= 4 with z = (mean - target) / se.
     """
     return _unbiasedness_checks(
-        model, theta_grid, [(estimator, g)], n, replicates, seed, workers
+        model, theta_grid, [("type1", estimator, g)], n, replicates, seed, workers
     )
 
 
@@ -468,10 +471,11 @@ def check_type2_unbiased(
 ) -> list[UnbiasednessReport]:
     """Test whether the mean estimate matches theta itself on a grid.
 
-    Verdict is PASS when |z| <= 4 with z = (mean - target) / se.
+    It is the type-I check of squared_euclidean().  Verdict is PASS when
+    |z| <= 4 with z = (mean - target) / se.
     """
     return _unbiasedness_checks(
-        model, theta_grid, [(estimator, None)], n, replicates, seed, workers
+        model, theta_grid, [("type2", estimator, squared_euclidean())], n, replicates, seed, workers
     )
 
 

@@ -387,7 +387,19 @@ class TestCheckCommand:
             config.write_text('{"gen": "negentropy"}')
             argv += ["--config", str(config)]
         code, out, err = run(capsys, *argv)
-        assert code == 2 and out == "" and f"--gen only for type1 or first-k, not {spec}" in err
+        assert code == 2 and out == ""
+        assert f"{spec} on model exp builds none with generator negentropy" in err
+
+    @pytest.mark.parametrize("model, spec", [("normal", "first-k:3"), ("exp", "first-k:1")])
+    def test_type2_refuses_gen_first_k_does_not_read(self, capsys, model, spec):
+        # normal has no construction for neglog, and exp's needs k >= 2
+        code, out, err = run(
+            capsys, "check", "--kind", "type2", "--model", model, "--gen", "neglog",
+            "--estimator", spec, "--theta", "2", "--n", "5", "-M", "1000", "--seed", "1",
+        )
+        assert code == 2 and out == ""
+        assert "reads --gen only to build a registered construction" in err
+        assert f"{spec} on model " in err and "builds none with generator neglog" in err
 
     def test_type2_reads_gen_through_type1_and_first_k(self, capsys):
         run_args = ("--theta", "2", "--n", "5", "-M", "2000", "--seed", "1")
@@ -827,6 +839,44 @@ def test_overflowing_statistics_are_a_numeric_failure(capsys, name):
     assert err.startswith("numeric failure: mean ") and "is not finite" in err
 
 
+# Runs whose spread underflows, each with its message: at theta 1e-300 the
+# squared differences of the values are 0, so an exactly unbiased mean would
+# get se 0, z = -inf and FAIL, and a risk would report se = 0.0; at 2e-162
+# M2 is a subnormal that M2 / (k - 1) takes to an se of 0
+UNDERFLOWING_RUNS = {
+    "type2-mean": (
+        ["check", "--kind", "type2", "--model", "exp", "--estimator", "mean",
+         "--theta", "1e-300", "--n", "5", "-M", "1000"],
+        "the spread of the values underflows: M2 is 0 while they differ",
+    ),
+    "risk-negentropy": (
+        ["risk", "--model", "exp", "--gen", "negentropy", "--estimator", "mean",
+         "--theta", "1e-300", "--n", "5", "-M", "1000"],
+        "the spread of the values underflows: M2 is 0 while they differ",
+    ),
+    "type2-mean-subnormal-m2": (
+        ["check", "--kind", "type2", "--model", "exp", "--estimator", "mean",
+         "--theta", "2e-162", "--n", "5", "-M", "1000"],
+        "the standard error of M2 = 3.56e-322 underflows to 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNDERFLOWING_RUNS))
+def test_underflowing_spread_is_a_numeric_failure(capsys, name):
+    argv, message = UNDERFLOWING_RUNS[name]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"numeric failure: {message}\n")
+
+
+def test_constant_estimate_keeps_its_zero_se_pass(capsys):
+    code, out, _ = run(
+        capsys, "check", "--kind", "type2", "--model", "exp", "--estimator", "const:2",
+        "--theta", "2", "--n", "5", "-M", "1000",
+    )
+    assert code == 0 and out.splitlines()[-1].endswith("z = 0.000 -> PASS")
+
+
 def test_overflowing_kurtosis_is_a_numeric_failure(capsys, tmp_path):
     # losses near 1e99 keep a finite mean and se, but their fourth powers overflow
     out_file = tmp_path / "k.json"
@@ -885,7 +935,7 @@ USAGE_ERRORS = {
     "type2-gen-unread": (
         ["check", "--kind", "type2", "--model", "exp", "--gen", "negentropy",
          "--estimator", "classical", "--theta", "2", "--n", "5", "-M", "1000"],
-        "reads --gen only for type1 or first-k, not classical",
+        "classical on model exp builds none with generator negentropy",
     ),
     "mahalanobis-no-path": (
         ["divergence", "--gen", "mahalanobis:", "--x", "1", "--y", "2"],

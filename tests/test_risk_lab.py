@@ -20,6 +20,7 @@ from breglab import (
     DomainError,
     Estimator,
     ExponentialModel,
+    LogNormalModel,
     NormalModel,
     NumericError,
     bregman_div,
@@ -168,6 +169,30 @@ class TestUnbiasednessChecks:
         assert (t1.mean, t1.target, t1.se, t1.z, t1.verdict) == (
             t2.mean, t2.target, t2.se, t2.z, t2.verdict,
         )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("model, grid", [
+        (EXP, (0.5, 2.0)), (LogNormalModel(), (1.0, np.e)), (NormalModel(), (-1.5, 0.4)),
+    ], ids=["exp", "lognormal", "normal"])
+    def test_type2_is_the_sqeuclid_type1_check(self, model, grid, workers):
+        # NaN and inf on a few rows, so the drop counts are compared too
+        def fn(x):
+            out = np.mean(x, axis=-1)
+            frac = (x[..., 0] * 1e3) % 1.0
+            out[frac < 4e-4] = np.nan
+            out[frac > 1.0 - 3e-4] = np.inf
+            return out
+
+        e = Estimator("mean-dropping", fn)
+        run = (5, CHUNK_ROWS + 1000, 11, workers)
+        type2 = check_type2_unbiased(model, grid, e, *run)
+        type1 = check_type1_unbiased(model, grid, e, SQE, *run)
+        assert sum(r.dropped for r in type2) > 0
+        for t2, t1 in zip(type2, type1, strict=True):
+            assert (t2.kind, t2.generator_id, t1.kind, t1.generator_id) == (
+                "type2", "", "type1", "sqeuclid"
+            )
+            assert dataclasses.replace(t2, kind="type1", generator_id="sqeuclid") == t1
 
     def test_grid_points_use_distinct_streams(self):
         reports = check_type2_unbiased(EXP, [2.0, 2.0], mean_estimator(), 5, 20_000, seed=7)
@@ -467,6 +492,31 @@ class TestDrawBuffers:
             tracemalloc.stop()
         assert peak > 5 * CHUNK_ROWS * 8  # at least one (CHUNK_ROWS, 5) buffer was live
         assert current < 64 * 1024
+
+
+class TestSpreadUnderflow:
+    """An M2 of 0 is exact for a constant set and a NumericError for values that differ."""
+
+    def test_one_set(self):
+        with pytest.raises(NumericError, match="spread of the values underflows"):
+            Moments.of([1e-300, 2e-300])
+
+    def test_merge(self):
+        a, b = Moments.of([1e-300]), Moments.of([2e-300])
+        assert a.m2 == b.m2 == 0.0
+        with pytest.raises(NumericError, match="spread of the values underflows"):
+            a + b
+
+    def test_se_of_a_subnormal_m2(self):
+        # exp draws scale exactly with theta = 2**-k: at k = 536 the se is still
+        # nonzero, at k = 537 M2 is subnormal and M2 / (k - 1) underflows
+        assert check_type2_unbiased(EXP, [2.0**-536], mean_estimator(), 5, 1000, seed=0)[0].se > 0
+        with pytest.raises(NumericError, match="standard error of M2 = .* underflows to 0"):
+            check_type2_unbiased(EXP, [2.0**-537], mean_estimator(), 5, 1000, seed=0)
+
+    def test_constant_set_keeps_a_zero_se(self):
+        m = pairwise_sum([Moments.of(np.full(k, 1e-300)) for k in (3, 1, 4)])
+        assert (m.k, m.mean, m.m2, m.se) == (8, 1e-300, 0.0, 0.0)
 
 
 class TestMomentOrders:
