@@ -10,13 +10,18 @@ lexicographic support order, first coordinate slowest, once for a few recent
 
 Every expectation is a sum over a law, never over outcomes.  An estimate
 takes few distinct values ("atoms") over the m^n outcomes, and _law pushes
-the outcomes onto them with one stable argsort, by (value, outcome index).
-The law keeps its cells, the (atom, multiset class) pairs that some outcome
-takes, with the number of outcomes in each.  Every ordering of a multiset is
-equally likely, so at each theta one vector q, the probability of one
-ordering of each class, weighs every law: an atom's probability is the
-pairwise sum np.add.reduceat of mult * q over its cells.  phi, grad phi and
-every divergence are evaluated once per atom, and _expect is
+the outcomes onto them with one argsort by value.  The law keeps its cells,
+the (atom, multiset class) pairs that some outcome takes, with the number of
+outcomes in each.  When atoms times classes is at most the outcome count,
+the cells are counted with one np.bincount over that table; otherwise, as
+when every outcome is its own atom, the outcomes' cell keys are sorted.  A
+-0.0/0.0 atom takes the sign of the first outcome equal to 0, as a stable
+sort would give it, so the law is bitwise that of one stable argsort by
+(value, outcome index) followed by a sort of the keys.  Every ordering of a
+multiset is equally likely, so at each theta one vector q, the probability
+of one ordering of each class, weighs every law: an atom's probability is
+the pairwise sum np.add.reduceat of mult * q over its cells.  phi, grad phi
+and every divergence are evaluated once per atom, and _expect is
 np.sum(p * f(atoms)).  The decomposition checks split through
 divergence._split, as decompose_left/right do.  The domain of the estimate
 is still checked on the full outcome array, so error messages name outcome
@@ -24,10 +29,10 @@ indices.
 
 A model keeps the estimates of its last check and their law, so the
 Rao-Blackwell check, the decompositions at each theta and
-exact_rao_blackwell sort one estimator's values once.  Timed in process on a
+exact_rao_blackwell build one estimator's law once.  Timed in process on a
 shared 2-core VM, with and without that reuse alternated body by body, the
-54-case benchmark battery took 1.83-1.87 times as long without it (median of
-15 bodies in each of 3 processes, 0.36-0.43 s with it).
+54-case benchmark battery took 1.66-1.68 times as long without it (median of
+15 bodies in each of 3 processes, 0.14-0.16 s with it).
 
 The exact Rao-Blackwell step conditions on the multiset of observations (the
 order statistic, sufficient under i.i.d. sampling); _rb_table builds its
@@ -141,6 +146,9 @@ class DiscreteModel:
 
         Built as an n-fold outer product of the pmf, multiplied left to right
         exactly as a row-wise product of gathered pmf values would be.
+        Nothing in breglab calls it: every oracle expectation weighs a law by
+        the probability of one ordering of each multiset class.  It stays as
+        the outcome-indexed reference that the tests sum against.
         """
         p = self.pmf(theta)
         w = p
@@ -194,24 +202,36 @@ def _law(values: np.ndarray, labels: np.ndarray, classes: int) -> _Law:
     """Push the outcomes forward onto the distinct values of a 1-D per-outcome array.
 
     labels holds the multiset class of every outcome, one of classes.  One
-    stable argsort orders the outcomes by (value, outcome index); a tie of
-    -0.0 and 0.0 keeps the sign of its first outcome.  The cells are the
-    distinct keys atom * classes + label, sorted in place.
+    argsort ranks the outcomes by value.  Its order within a tie is
+    unspecified, which decides only the sign of a -0.0/0.0 atom: that atom
+    takes the sign of the first outcome equal to 0.  Each outcome's cell key
+    is atom * classes + label, in int64.  When the (atom, class) table is no
+    larger than the outcomes, np.bincount over it gives the cells, in key
+    order, with their outcome counts; otherwise the keys are sorted in place
+    and their runs are the cells.
     """
-    order = np.argsort(values, kind="stable")
+    order = np.argsort(values)
     ranked = values[order]
-    new = np.concatenate(([True], ranked[1:] != ranked[:-1]))
-    atoms = ranked[new]
+    first = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+    atoms = ranked[first]
     del ranked
-    keys = np.cumsum(new, dtype=np.int64)
-    keys -= 1
-    keys *= classes
+    zero = atoms == 0.0
+    if zero.any():
+        atoms[zero] = values[np.argmax(values == 0.0)]
+    table = len(atoms) * classes
+    keys = np.repeat(np.arange(0, table, classes), np.diff(first, append=len(values)))
     keys += labels[order]
     del order
-    keys.sort()
-    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    mult = np.diff(first, append=len(keys))
-    atom, cls = np.divmod(keys[first], classes)
+    if table <= len(keys):
+        mult = np.bincount(keys, minlength=table)
+        keys = np.flatnonzero(mult)
+        mult = mult[keys]
+    else:
+        keys.sort()
+        first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        mult = np.diff(first, append=len(keys))
+        keys = keys[first]
+    atom, cls = np.divmod(keys, classes)
     starts = np.flatnonzero(np.concatenate(([True], atom[1:] != atom[:-1])))
     return _Law(atoms, atom, cls, mult, starts)
 
@@ -245,8 +265,8 @@ def _estimate_law(dm: DiscreteModel, g: Generator, e: Estimator, label: str):
     e.fn runs and the domain is checked on every call.  The model keeps a
     read-only copy of the values of its last call, and their law; values
     byte-identical to those (compared as int64, so -0.0 and 0.0 or two NaN
-    payloads never match) reuse that law instead of sorting again; the
-    battery takes 1.83-1.87 times as long without (module docstring).  The
+    payloads never match) reuse that law instead of building it again; the
+    battery takes 1.66-1.68 times as long without (module docstring).  The
     kept copy is what is returned, so an estimator that later overwrites
     its own output cannot change it.
     """

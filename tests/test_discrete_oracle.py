@@ -77,6 +77,36 @@ def outcome_law(values: np.ndarray, w: np.ndarray):
     return ranked[starts], np.add.reduceat(w[order], starts)
 
 
+def sorted_law(values: np.ndarray, labels: np.ndarray, classes: int) -> discrete_oracle._Law:
+    """The bitwise reference for _law: one stable argsort, then a sort of the cell keys.
+
+    The stable argsort orders the outcomes by (value, outcome index), so a
+    -0.0/0.0 atom keeps the sign of its first outcome.
+    """
+    order = np.argsort(values, kind="stable")
+    ranked = values[order]
+    new = np.concatenate(([True], ranked[1:] != ranked[:-1]))
+    atoms = ranked[new]
+    keys = np.cumsum(new, dtype=np.int64)
+    keys -= 1
+    keys *= classes
+    keys += labels[order]
+    keys.sort()
+    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    mult = np.diff(first, append=len(keys))
+    atom, cls = np.divmod(keys[first], classes)
+    starts = np.flatnonzero(np.concatenate(([True], atom[1:] != atom[:-1])))
+    return discrete_oracle._Law(atoms, atom, cls, mult, starts)
+
+
+def assert_same_law(got, ref):
+    """Every _Law field equal in dtype and value, and the atoms' sign bits equal."""
+    for field in ("atoms", "atom", "cls", "mult", "starts"):
+        a, b = getattr(got, field), getattr(ref, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+    assert np.array_equal(np.signbit(got.atoms), np.signbit(ref.atoms))
+
+
 def class_law(dm: DiscreteModel, values: np.ndarray):
     """_law of per-outcome values on dm's multiset classes."""
     labels, counts, _ = _multiset_classes(dm.m, dm.n)
@@ -690,6 +720,51 @@ class TestLaw:
         assert np.array_equal(law.mult, np.diff(starts, append=len(values)))
         # a -0.0 / 0.0 tie keeps the sign of its first outcome
         assert np.array_equal(np.signbit(law.atoms), np.signbit(ranked[starts]))
+
+    @pytest.mark.parametrize("e", [FIRST, HEAD2, MEAN], ids=lambda e: e.id)
+    @pytest.mark.parametrize(
+        "support, n",
+        [((1.0, 2.0, 3.0), 5), ((0.5, 1.5, 2.5, 4.0), 4), (tuple(0.5 * i for i in range(1, 11)), 5)],
+        ids=["m3n5", "m4n4", "m10n5"],
+    )
+    def test_law_is_the_sorted_law_on_battery_estimates(self, support, n, e):
+        # the estimates of the benchmark's oracle battery: the m4n4 head2 and
+        # mean laws sort their keys, the others count their cells
+        dm = DiscreteModel(support, n)
+        labels, counts, _ = _multiset_classes(dm.m, n)
+        values = discrete_oracle._estimates(dm, e)
+        assert_same_law(_law(values, labels, len(counts)), sorted_law(values, labels, len(counts)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        m=st.integers(min_value=1, max_value=5),
+        n=st.integers(min_value=1, max_value=5),
+        pool=st.lists(st.sampled_from([-1.0, 0.5, 2.0, 3.0]), min_size=1, max_size=4),
+        distinct=st.booleans(),
+        zeros=st.lists(st.booleans(), min_size=1, max_size=400),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    # many zeros of both signs in a few thousand outcomes, the first one 0.0
+    # or -0.0: an argsort that is not stable reorders them
+    @example(m=5, n=5, pool=[-1.0, 2.0], distinct=False, zeros=[False] + [True] * 399, seed=0)
+    @example(m=5, n=5, pool=[-1.0, 2.0], distinct=False, zeros=[True] + [False] * 399, seed=1)
+    @example(m=5, n=5, pool=[0.5], distinct=True, zeros=[False] + [True] * 399, seed=2)
+    @example(m=5, n=5, pool=[0.5], distinct=True, zeros=[True] + [False] * 399, seed=3)
+    def test_law_is_the_sorted_law_with_signed_zeros(self, m, n, pool, distinct, zeros, seed):
+        # A few atoms count their cells; outcomes that are mostly distinct
+        # (m >= 2) leave a table larger than the outcomes and sort the keys.
+        # zeros gives the signs of the zeros in outcome order, True for -0.0.
+        rng = np.random.default_rng(seed)
+        labels, counts, _ = _multiset_classes(m, n)
+        if distinct:
+            values = np.arange(1.0, m**n + 1)
+        else:
+            values = np.asarray(pool)[rng.integers(len(pool), size=m**n)]
+        at = np.sort(rng.choice(m**n, size=min(len(zeros), m**n), replace=False))
+        values[at] = np.where(zeros[: len(at)], -0.0, 0.0)
+        law = _law(values, labels, len(counts))
+        assert_same_law(law, sorted_law(values, labels, len(counts)))
+        assert np.signbit(law.atoms[law.atoms == 0.0]) == zeros[0]
 
     @pytest.mark.parametrize("e", [FIRST, MEAN, resolve_estimator("const:2", SPEC_MODEL)],
                              ids=lambda e: e.id)
