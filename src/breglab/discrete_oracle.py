@@ -10,17 +10,25 @@ lexicographic support order, first coordinate slowest, once for a few recent
 
 Every expectation is a sum over a law, never over outcomes.  An estimate
 takes few distinct values ("atoms") over the m^n outcomes, and _law pushes
-the outcomes onto them with one argsort by value.  The law keeps its cells,
-the (atom, multiset class) pairs that some outcome takes, with the number of
-outcomes in each.  When atoms times classes is at most the outcome count,
-the cells are counted with one np.bincount over that table; otherwise, as
-when every outcome is its own atom, the outcomes' cell keys are sorted.  A
--0.0/0.0 atom takes the sign of the first outcome equal to 0, as a stable
-sort would give it, so the law is bitwise that of one stable argsort by
-(value, outcome index) followed by a sort of the keys.  Every ordering of a
-multiset is equally likely, so at each theta one vector q, the probability
-of one ordering of each class, weighs every law: an atom's probability is
-the pairwise sum np.add.reduceat of mult * q over its cells.  phi, grad phi
+the outcomes onto them.  The law keeps its cells, the (atom, multiset class)
+pairs that some outcome takes, with the number of outcomes in each.  Most
+estimates let _law sort far fewer values than the m^n outcomes.  An
+invariant estimate (mean, classical, const) is equal on every class, so its
+law is built from the C(m+n-1, n) class values, one cell per class.  One
+that reads only the first k coordinates (first-k, head2) comes in runs of
+m^(n-k) equal values, because outcomes are enumerated first coordinate
+slowest; when the runs average 8 outcomes or more, only the run values are
+sorted.  Any other estimate takes one argsort of its values.  Each property
+is checked on every outcome, after a strided sample that rejects it
+cheaply.  When atoms times classes is at most the outcome count, the cells
+are counted with one np.bincount over that table; otherwise, as when every
+outcome is its own atom, the outcomes' cell keys are sorted.  A -0.0/0.0
+atom takes the sign of the first outcome equal to 0, so on every path the
+law is bitwise that of one stable argsort by (value, outcome index)
+followed by a sort of the keys.  Every ordering of a multiset is equally
+likely, so at each theta one vector q, the probability of one ordering of
+each class, weighs every law: an atom's probability is the pairwise sum
+np.add.reduceat of mult * q over its cells.  phi, grad phi
 and every divergence are evaluated once per atom, and _expect is
 np.sum(p * f(atoms)).  The decomposition checks split through
 divergence._split, as decompose_left/right do.  The domain of the estimate
@@ -31,8 +39,8 @@ A model keeps the estimates of its last check and their law, so the
 Rao-Blackwell check, the decompositions at each theta and
 exact_rao_blackwell build one estimator's law once.  Timed in process on a
 shared 2-core VM, with and without that reuse alternated body by body, the
-54-case benchmark battery took 1.66-1.68 times as long without it (median of
-15 bodies in each of 3 processes, 0.14-0.16 s with it).
+54-case benchmark battery took 1.34-1.36 times as long without it (median of
+15 bodies in each of 3 processes, 0.09-0.10 s with it).
 
 The exact Rao-Blackwell step conditions on the multiset of observations (the
 order statistic, sufficient under i.i.d. sampling); _rb_table builds its
@@ -201,38 +209,112 @@ class _Law:
 def _law(values: np.ndarray, labels: np.ndarray, classes: int) -> _Law:
     """Push the outcomes forward onto the distinct values of a 1-D per-outcome array.
 
-    labels holds the multiset class of every outcome, one of classes.  One
-    argsort ranks the outcomes by value.  Its order within a tie is
-    unspecified, which decides only the sign of a -0.0/0.0 atom: that atom
-    takes the sign of the first outcome equal to 0.  Each outcome's cell key
-    is atom * classes + label, in int64.  When the (atom, class) table is no
-    larger than the outcomes, np.bincount over it gives the cells, in key
-    order, with their outcome counts; otherwise the keys are sorted in place
-    and their runs are the cells.
+    labels holds the multiset class of every outcome, one of classes.  The
+    law is built on the first of three paths that fits the values:
+
+    - values equal on every class: _class_law sorts the class values;
+    - few runs of equal consecutive values (_runs): _cell_law sorts only
+      the run values;
+    - otherwise _cell_law takes one argsort of all the values.
+
+    An argsort's order within a tie is unspecified, which decides only the
+    sign of a -0.0/0.0 atom: on every path that atom takes the sign of the
+    first outcome equal to 0.
     """
-    order = np.argsort(values)
-    ranked = values[order]
-    first = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
-    atoms = ranked[first]
-    del ranked
-    zero = atoms == 0.0
+    law = _class_law(values, labels, classes) or _cell_law(values, labels, classes)
+    zero = law.atoms == 0.0
     if zero.any():
-        atoms[zero] = values[np.argmax(values == 0.0)]
+        law.atoms[zero] = values[np.argmax(values == 0.0)]
+    return law
+
+
+def _sample(count: int) -> slice:
+    """About 1024 evenly strided outcomes, for rejecting a path before a full pass."""
+    return slice(None, None, max(1, count // 1024))
+
+
+def _new(ranked: np.ndarray) -> np.ndarray:
+    """True where a sorted array starts a new value, and at its first entry."""
+    return np.concatenate(([True], ranked[1:] != ranked[:-1]))
+
+
+def _class_law(values: np.ndarray, labels: np.ndarray, classes: int) -> _Law | None:
+    """The law of values equal (==) on every class, or None when they are not.
+
+    Each class is one cell holding all its outcomes, and the cells are the
+    classes in (atom, class) order.  Constancy is checked on a strided
+    sample first, then on every outcome.
+    """
+    table = np.empty(classes)
+    for part in (_sample(len(values)), slice(None)):
+        table[labels[part]] = values[part]
+        if not np.array_equal(table[labels[part]], values[part]):
+            return None
+    mult = np.bincount(labels, minlength=classes)
+    if not mult.all():
+        return None
+    cls = np.argsort(table, kind="stable")
+    ranked = table[cls]
+    new = _new(ranked)
+    atom = np.cumsum(new, dtype=np.int64)
+    atom -= 1
+    starts = np.flatnonzero(new)
+    return _Law(ranked[starts], atom, cls, mult[cls], starts)
+
+
+def _runs(values: np.ndarray) -> np.ndarray | None:
+    """Where each run of equal consecutive values starts, or None for more runs than outcomes / 8.
+
+    Runs of 8 or more outcomes make _cell_law 1.4-2 times as fast as one
+    argsort of the values; runs of 2 make it slower.  The share of breaks
+    between neighbours is checked on a strided sample first, then on every
+    pair.
+    """
+    head, tail = values[:-1], values[1:]
+    for part in (_sample(len(head)), slice(None)):
+        breaks = np.flatnonzero(head[part] != tail[part])
+        if 8 * (len(breaks) + 1) > len(head[part]) + 1:
+            return None
+    return np.concatenate(([0], breaks + 1))
+
+
+def _cell_law(values: np.ndarray, labels: np.ndarray, classes: int) -> _Law:
+    """The law of any values, its cells counted or sorted by their int64 keys.
+
+    An outcome's cell key is atom * classes + label.  Given runs, the keys
+    are built in enumeration order from each run's atom rank, with no
+    gather through an outcome permutation; otherwise in value order, after
+    one argsort of the outcomes.  When the (atom, class) table is no larger
+    than the outcomes, np.bincount over it gives the cells, in key order,
+    with their outcome counts; otherwise the keys are sorted in place and
+    their runs are the cells.
+    """
+    runs = _runs(values)
+    if runs is None:
+        order = np.argsort(values)
+        ranked = values[order]
+        first = np.flatnonzero(_new(ranked))
+        atoms = ranked[first]
+        del ranked
+        keys = np.repeat(np.arange(0, len(atoms) * classes, classes), np.diff(first, append=len(values)))
+        keys += labels[order]
+        del order
+    else:
+        atoms, rank = np.unique(values[runs], return_inverse=True, equal_nan=False)
+        keys = np.repeat(rank * classes, np.diff(runs, append=len(values)))
+        keys += labels
     table = len(atoms) * classes
-    keys = np.repeat(np.arange(0, table, classes), np.diff(first, append=len(values)))
-    keys += labels[order]
-    del order
     if table <= len(keys):
         mult = np.bincount(keys, minlength=table)
         keys = np.flatnonzero(mult)
         mult = mult[keys]
     else:
         keys.sort()
-        first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        first = np.flatnonzero(_new(keys))
         mult = np.diff(first, append=len(keys))
         keys = keys[first]
     atom, cls = np.divmod(keys, classes)
-    starts = np.flatnonzero(np.concatenate(([True], atom[1:] != atom[:-1])))
+    starts = np.flatnonzero(_new(atom))
     return _Law(atoms, atom, cls, mult, starts)
 
 
@@ -266,7 +348,7 @@ def _estimate_law(dm: DiscreteModel, g: Generator, e: Estimator, label: str):
     read-only copy of the values of its last call, and their law; values
     byte-identical to those (compared as int64, so -0.0 and 0.0 or two NaN
     payloads never match) reuse that law instead of building it again; the
-    battery takes 1.66-1.68 times as long without (module docstring).  The
+    battery takes 1.34-1.36 times as long without (module docstring).  The
     kept copy is what is returned, so an estimator that later overwrites
     its own output cannot change it.
     """

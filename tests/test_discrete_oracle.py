@@ -36,9 +36,18 @@ from breglab.generators import SeparableGenerator
 
 FIRST = Estimator("first", lambda x: x[..., 0])
 HEAD2 = Estimator("head2", lambda x: np.mean(x[..., :2], axis=-1))
+LAST = Estimator("last", lambda x: x[..., -1])
+WEIGHTED = Estimator("weighted", lambda x: x @ np.linspace(0.5, 1.5, x.shape[-1]))
 # the oracle command resolves estimator specs on its DiscreteModel
 SPEC_MODEL = DiscreteModel((1.0, 2.0, 3.0), 3)
 MEAN = resolve_estimator("mean", SPEC_MODEL)
+CONSTANTS = [resolve_estimator(f"const:{v}", SPEC_MODEL) for v in ("0", "-0")]
+# the supports and sample sizes of the benchmark's oracle battery
+BATTERY_SUPPORTS = [
+    ((1.0, 2.0, 3.0), 5),
+    ((0.5, 1.5, 2.5, 4.0), 4),
+    (tuple(0.5 * i for i in range(1, 11)), 5),
+]
 
 ORACLE_GENERATORS = [
     squared_euclidean(1),
@@ -721,15 +730,13 @@ class TestLaw:
         # a -0.0 / 0.0 tie keeps the sign of its first outcome
         assert np.array_equal(np.signbit(law.atoms), np.signbit(ranked[starts]))
 
-    @pytest.mark.parametrize("e", [FIRST, HEAD2, MEAN], ids=lambda e: e.id)
-    @pytest.mark.parametrize(
-        "support, n",
-        [((1.0, 2.0, 3.0), 5), ((0.5, 1.5, 2.5, 4.0), 4), (tuple(0.5 * i for i in range(1, 11)), 5)],
-        ids=["m3n5", "m4n4", "m10n5"],
-    )
+    @pytest.mark.parametrize("e", [FIRST, HEAD2, MEAN, LAST, WEIGHTED, *CONSTANTS], ids=lambda e: e.id)
+    @pytest.mark.parametrize("support, n", BATTERY_SUPPORTS, ids=["m3n5", "m4n4", "m10n5"])
     def test_law_is_the_sorted_law_on_battery_estimates(self, support, n, e):
-        # the estimates of the benchmark's oracle battery: the m4n4 head2 and
-        # mean laws sort their keys, the others count their cells
+        # the estimates of the benchmark's oracle battery (first, head2 and
+        # mean), one that reads only the last coordinate, a weighted sum and
+        # two constant zeros: first and head2 take the runs path (m4n4 head2
+        # then sorts its keys), and mean and the constants the class path
         dm = DiscreteModel(support, n)
         labels, counts, _ = _multiset_classes(dm.m, n)
         values = discrete_oracle._estimates(dm, e)
@@ -765,6 +772,108 @@ class TestLaw:
         law = _law(values, labels, len(counts))
         assert_same_law(law, sorted_law(values, labels, len(counts)))
         assert np.signbit(law.atoms[law.atoms == 0.0]) == zeros[0]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        m=st.integers(min_value=1, max_value=5),
+        n=st.integers(min_value=1, max_value=5),
+        pool=st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]), min_size=1, max_size=5),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    # every class 0, its outcomes' signs mixed
+    @example(m=5, n=5, pool=[0.0], seed=0)
+    @example(m=5, n=5, pool=[-0.0, 2.0], seed=1)
+    def test_law_of_class_constant_values(self, m, n, pool, seed):
+        # a per-class table gathered through the labels; each zero outcome
+        # then takes a random sign, so -0.0 and 0.0 mix inside one class
+        rng = np.random.default_rng(seed)
+        labels, counts, _ = _multiset_classes(m, n)
+        values = np.asarray(pool)[rng.integers(len(pool), size=len(counts))][labels]
+        zero = values == 0.0
+        values[zero] = np.where(rng.integers(2, size=np.count_nonzero(zero)), -0.0, 0.0)
+        assert discrete_oracle._class_law(values, labels, len(counts)) is not None
+        assert_same_law(_law(values, labels, len(counts)), sorted_law(values, labels, len(counts)))
+
+    @pytest.mark.parametrize("at", [1, 3122], ids=["second", "near-last"])
+    def test_class_law_checks_every_outcome(self, at):
+        # class-constant values but for one outcome that the strided sample
+        # skips: the class path must refuse them
+        labels, counts, _ = _multiset_classes(5, 5)
+        values = (labels % 7).astype(float)
+        values[at] += 0.5
+        assert discrete_oracle._class_law(values, labels, len(counts)) is None
+        assert_same_law(_law(values, labels, len(counts)), sorted_law(values, labels, len(counts)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        m=st.integers(min_value=2, max_value=5),
+        n=st.integers(min_value=4, max_value=5),
+        pool=st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]), min_size=1, max_size=5),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    # 195 runs, most of them zeros of either sign: an argsort of the run
+    # values that is not stable reorders them
+    @example(m=5, n=5, pool=[-0.0, 0.0, 0.0, -0.0, 2.0], seed=0)
+    @example(m=5, n=5, pool=[0.0, -0.0, -0.0, 0.0, -1.0], seed=1)
+    def test_law_of_runs(self, m, n, pool, seed):
+        # np.repeat of pool values over m^n / 16 runs of random length, which
+        # start and end anywhere, across class boundaries
+        rng = np.random.default_rng(seed)
+        labels, counts, _ = _multiset_classes(m, n)
+        count = m**n
+        cuts = np.sort(rng.choice(np.arange(1, count), size=count // 16 - 1, replace=False))
+        heads = np.asarray(pool)[rng.integers(len(pool), size=len(cuts) + 1)]
+        values = np.repeat(heads, np.diff(cuts, prepend=0, append=count))
+        assert discrete_oracle._runs(values) is not None
+        assert_same_law(_law(values, labels, len(counts)), sorted_law(values, labels, len(counts)))
+
+    def test_runs_checks_every_pair(self):
+        # runs of 3, too short for the runs path, with every break between
+        # neighbours where the strided sample (every third pair) never looks
+        labels, counts, _ = _multiset_classes(5, 5)
+        breaks = np.arange(len(labels) - 1) % 3 == 1
+        values = np.concatenate(([0.0], np.cumsum(breaks)))
+        assert discrete_oracle._runs(values) is None
+        assert_same_law(_law(values, labels, len(counts)), sorted_law(values, labels, len(counts)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(min_value=2, max_value=5),
+        n=st.integers(min_value=3, max_value=5),
+        zeros=st.lists(st.booleans(), max_size=2),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_law_of_values_with_neither_property(self, m, n, zeros, seed):
+        # distinct values in random order, up to two of them zeros of either
+        # sign: at n >= 3 two zeros cannot fill a class of two or more outcomes
+        rng = np.random.default_rng(seed)
+        labels, counts, _ = _multiset_classes(m, n)
+        values = rng.permutation(np.arange(1.0, m**n + 1))
+        values[rng.choice(m**n, size=len(zeros), replace=False)] = np.where(zeros, -0.0, 0.0)
+        assert discrete_oracle._class_law(values, labels, len(counts)) is None
+        assert discrete_oracle._runs(values) is None
+        assert_same_law(_law(values, labels, len(counts)), sorted_law(values, labels, len(counts)))
+
+    @pytest.mark.parametrize(
+        "e, path",
+        [(FIRST, "runs"), (HEAD2, "runs"), (MEAN, "class"), (CONSTANTS[0], "class"),
+         (LAST, "sort"), (WEIGHTED, "sort")],
+        ids=lambda v: v if isinstance(v, str) else v.id,
+    )
+    @pytest.mark.parametrize("support, n", BATTERY_SUPPORTS, ids=["m3n5", "m4n4", "m10n5"])
+    def test_law_path(self, monkeypatch, support, n, e, path):
+        # which construction each estimate's law takes on the battery supports
+        taken = []
+        for name, tag in (("_class_law", "class"), ("_runs", "runs")):
+            def spied(*args, original=getattr(discrete_oracle, name), tag=tag):
+                got = original(*args)
+                taken.append(tag if got is not None else None)
+                return got
+
+            monkeypatch.setattr(discrete_oracle, name, spied)
+        discrete_oracle._estimate_law(DiscreteModel(support, n), squared_euclidean(1), e, "x")
+        expected = {"class": ["class"], "runs": [None, "runs"], "sort": [None, None]}
+        assert taken == expected[path]
 
     @pytest.mark.parametrize("e", [FIRST, MEAN, resolve_estimator("const:2", SPEC_MODEL)],
                              ids=lambda e: e.id)
